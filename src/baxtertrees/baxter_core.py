@@ -29,7 +29,7 @@ into corner trees and root-raised pieces.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, ParseError
 from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, parse_poly
@@ -42,7 +42,8 @@ __all__ = [
     "LinComb", "parse_lincomb", "tree_lincomb_parser",
     "generator", "corner_tree",
     "graft", "degraft", "beta", "beta_lc", "lower_root", "raise_root",
-    "circle", "star", "circle_lc", "star_lc", "circle_power", "star_power",
+    "addmul", "bilinear",
+    "circle", "star", "circle_lc", "star_lc", "circle_power",
     "morphism", "morphism_lc", "decompose", "recompose",
 ]
 
@@ -71,20 +72,16 @@ class LinComb:
         else:
             pairs = terms
         for elem, raw in pairs:
-            coeff = LambdaPoly._coerce(raw)
-            if coeff is NotImplemented:
-                raise TypeError(f"coefficient {raw!r} is not a weight polynomial")
-            if elem in data:
-                coeff = data[elem] + coeff
-            if coeff.is_zero:
-                data.pop(elem, None)
-            else:
-                data[elem] = coeff
+            addmul(data, LinComb.of(elem, raw).terms, ONE)
         self.terms = data
 
     @classmethod
-    def of(cls, elem, coeff=1) -> "LinComb":
-        return cls([(elem, coeff)])
+    def of(cls, elem, coeff=ONE) -> "LinComb":
+        """The single term ``coeff * elem``."""
+        c = LambdaPoly._coerce(coeff)
+        if c is NotImplemented:
+            raise TypeError(f"coefficient {coeff!r} is not a weight polynomial")
+        return _wrap({} if c.is_zero else {elem: c})
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -108,15 +105,8 @@ class LinComb:
         if not isinstance(other, LinComb):
             return NotImplemented
         out = dict(self.terms)
-        for elem, coeff in other.terms.items():
-            acc = out.get(elem, ZERO) + coeff
-            if acc.is_zero:
-                out.pop(elem, None)
-            else:
-                out[elem] = acc
-        result = LinComb.__new__(LinComb)
-        result.terms = out
-        return result
+        addmul(out, other.terms, ONE)
+        return _wrap(out)
 
     def __sub__(self, other):
         if not isinstance(other, LinComb):
@@ -124,9 +114,7 @@ class LinComb:
         return self + (-other)
 
     def __neg__(self):
-        result = LinComb.__new__(LinComb)
-        result.terms = {e: -c for e, c in self.terms.items()}
-        return result
+        return _wrap({e: -c for e, c in self.terms.items()})
 
     def scale(self, coeff) -> "LinComb":
         coeff = LambdaPoly._coerce(coeff)
@@ -134,9 +122,7 @@ class LinComb:
             raise TypeError("scale expects a weight polynomial or int")
         if coeff.is_zero:
             return LinComb()
-        result = LinComb.__new__(LinComb)
-        result.terms = {e: c * coeff for e, c in self.terms.items()}
-        return result
+        return _wrap({e: c * coeff for e, c in self.terms.items()})
 
     def __mul__(self, coeff):
         return self.scale(coeff)
@@ -145,10 +131,10 @@ class LinComb:
 
     def apply(self, f: Callable) -> "LinComb":
         """Linear extension of a basis map ``f: elem -> LinComb``."""
-        out = LinComb()
+        out: dict = {}
         for elem, coeff in self.terms.items():
-            out = out + f(elem).scale(coeff)
-        return out
+            addmul(out, f(elem).terms, coeff)
+        return _wrap(out)
 
     def map_coeffs(self, f: Callable[[LambdaPoly], LambdaPoly]) -> "LinComb":
         return LinComb([(e, f(c)) for e, c in self.terms.items()])
@@ -186,6 +172,42 @@ class LinComb:
 
     def __repr__(self):
         return f"<LinComb {self}>"
+
+
+def _wrap(terms: dict) -> LinComb:
+    """A combination owning ``terms``, which must hold no zero coefficient."""
+    out = LinComb.__new__(LinComb)
+    out.terms = terms
+    return out
+
+
+def addmul(acc: dict, terms: Mapping, coeff: LambdaPoly) -> None:
+    """Add ``coeff * terms`` into the coefficient dict ``acc`` in place.
+
+    The one place terms are merged: a zero result is dropped, whether it
+    cancels against ``acc`` or is zero from the start.  ``terms`` is only
+    read, since it may be a memoized result shared with other callers.
+    """
+    unit = coeff.coeffs == (1,)
+    for elem, c in terms.items():
+        if not unit:  # a product with one would only copy
+            c = coeff if c.coeffs == (1,) else c * coeff
+        old = acc.get(elem)
+        if old is not None:
+            c = old + c
+        if c.is_zero:
+            acc.pop(elem, None)
+        else:
+            acc[elem] = c
+
+
+def bilinear(op: Callable, u: LinComb, v: LinComb) -> LinComb:
+    """The bilinear extension of a basis product ``op(x, y) -> LinComb``."""
+    out: dict = {}
+    for x, cx in u.terms.items():
+        for y, cy in v.terms.items():
+            addmul(out, op(x, y).terms, cx * cy)
+    return _wrap(out)
 
 
 def _scan_group(s: str, j: int) -> int:
@@ -440,11 +462,9 @@ def circle(family: Family, t: Tree, s: Tree) -> LinComb:
     prefix = t_pieces[:-1]
     suffix = s_pieces[1:]
     angles = t_angles + s_angles
-    out = LinComb()
-    for mid, coeff in middle.terms.items():
-        grafted = graft(family, prefix + (mid,) + suffix, angles)
-        out = out + LinComb.of(grafted, coeff)
-    return out
+    return middle.apply(
+        lambda mid: LinComb.of(graft(family, prefix + (mid,) + suffix, angles))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -454,28 +474,21 @@ def star(family: Family, u: Tree, v: Tree) -> LinComb:
         return LinComb.of(v)
     if v.is_leaf:
         return LinComb.of(u)
-    bu = beta(family, u)
-    bv = beta(family, v)
-    out = bu.apply(lambda x: circle(family, x, v))
-    out = out + bv.apply(lambda y: circle(family, u, y))
-    out = out + circle(family, u, v).scale(LAMBDA)
-    return out
+    out: dict = {}
+    for x, c in beta(family, u).terms.items():
+        addmul(out, circle(family, x, v).terms, c)
+    for y, c in beta(family, v).terms.items():
+        addmul(out, circle(family, u, y).terms, c)
+    addmul(out, circle(family, u, v).terms, LAMBDA)
+    return _wrap(out)
 
 
 def circle_lc(family: Family, u: LinComb, v: LinComb) -> LinComb:
-    out = LinComb()
-    for eu, cu in u.terms.items():
-        for ev, cv in v.terms.items():
-            out = out + circle(family, eu, ev).scale(cu * cv)
-    return out
+    return bilinear(lambda x, y: circle(family, x, y), u, v)
 
 
 def star_lc(family: Family, u: LinComb, v: LinComb) -> LinComb:
-    out = LinComb()
-    for eu, cu in u.terms.items():
-        for ev, cv in v.terms.items():
-            out = out + star(family, eu, ev).scale(cu * cv)
-    return out
+    return bilinear(lambda x, y: star(family, x, y), u, v)
 
 
 def circle_power(family: Family, t: Tree, k: int) -> LinComb:
@@ -484,15 +497,6 @@ def circle_power(family: Family, t: Tree, k: int) -> LinComb:
     out = LinComb.of(t)
     for _ in range(k - 1):
         out = circle_lc(family, out, LinComb.of(t))
-    return out
-
-
-def star_power(family: Family, t: Tree, k: int) -> LinComb:
-    if k < 1:
-        raise DomainError("power must be at least 1")
-    out = LinComb.of(t)
-    for _ in range(k - 1):
-        out = star_lc(family, out, LinComb.of(t))
     return out
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb
 from typing import Union
 
-from .baxter_core import LinComb, beta_lc, circle_lc, lower_root
+from .baxter_core import LinComb, addmul, beta_lc, bilinear, circle_lc, lower_root
 from .errors import DomainError
 from .paths import restore_angles
 from .scalars import LAMBDA
@@ -66,35 +66,31 @@ def _check_basis(variant: str, v: LinComb, allow_leaf: bool) -> None:
 @lru_cache(maxsize=None)
 def _star(variant: str, x: PlanarTree, y: PlanarTree) -> LinComb:
     if x.is_leaf:
-        return LinComb(y)
+        return LinComb.of(y)
     if y.is_leaf:
-        return LinComb(x)
+        return LinComb.of(x)
     out = _left(variant, x, y) + _right(variant, x, y)
     if variant == "trialgebra":
-        out = out + _dot(variant, x, y).scale(LAMBDA)
+        addmul(out.terms, _dot(variant, x, y).terms, LAMBDA)
     return out
 
 
 def _left(variant: str, x: PTree, y: PTree) -> LinComb:
-    head = x.children[:-1]
-    return _star(variant, x.children[-1], y).apply(
-        lambda t: LinComb(PTree(head + (t,)))
-    )
+    return _seam(_star(variant, x.children[-1], y), x.children[:-1], ())
 
 
 def _right(variant: str, x: PTree, y: PTree) -> LinComb:
-    tail = y.children[1:]
-    return _star(variant, x, y.children[0]).apply(
-        lambda t: LinComb(PTree((t,) + tail))
-    )
+    return _seam(_star(variant, x, y.children[0]), (), y.children[1:])
 
 
 def _dot(variant: str, x: PTree, y: PTree) -> LinComb:
-    head = x.children[:-1]
-    tail = y.children[1:]
-    return _star(variant, x.children[-1], y.children[0]).apply(
-        lambda t: LinComb(PTree(head + (t,) + tail))
-    )
+    return _seam(_star(variant, x.children[-1], y.children[0]),
+                 x.children[:-1], y.children[1:])
+
+
+def _seam(middle: LinComb, head: tuple, tail: tuple) -> LinComb:
+    """Each tree of ``middle`` grafted between the children ``head`` and ``tail``."""
+    return middle.apply(lambda t: LinComb.of(PTree(head + (t,) + tail)))
 
 
 def dend_op(
@@ -120,11 +116,7 @@ def dend_op(
     _check_basis(variant, xc, allow_leaf=op == "star")
     _check_basis(variant, yc, allow_leaf=op == "star")
     fn = {"left": _left, "right": _right, "dot": _dot, "star": _star}[op]
-    out = LinComb()
-    for xe, xcoeff in xc.items():
-        for ye, ycoeff in yc.items():
-            out = out + fn(variant, xe, ye).scale(xcoeff * ycoeff)
-    return out
+    return bilinear(lambda a, b: fn(variant, a, b), xc, yc)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +195,7 @@ def dt_dim(n: int, m: int) -> int:
     nodes (faces of the associahedron)."""
     if n < 1 or m < 1 or m > n:
         return 0
-    val = comb(n + m, m) * comb(n - 1, m - 1)
-    assert val % (n + 1) == 0
-    return val // (n + 1)
+    count, rest = divmod(comb(n + m, m) * comb(n - 1, m - 1), n + 1)
+    if rest:
+        raise ArithmeticError(f"planar tree count for ({n}, {m}) is not an integer")
+    return count

@@ -1,12 +1,15 @@
 """Linear combinations, the distinguished operator, products, morphisms."""
 
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baxtertrees import dendriform
 from baxtertrees.baxter_core import (
     LinComb,
+    addmul,
     beta,
     beta_lc,
     circle,
@@ -27,7 +30,7 @@ from baxtertrees.baxter_core import (
     tree_lincomb_parser,
 )
 from baxtertrees.errors import DomainError, ParseError
-from baxtertrees.scalars import LAMBDA, ONE, LambdaPoly
+from baxtertrees.scalars import LAMBDA, ONE, ZERO, LambdaPoly
 from baxtertrees.trees import (
     FAMILIES,
     LEAF,
@@ -35,8 +38,10 @@ from baxtertrees.trees import (
     INF,
     bidegree,
     enumerate_trees,
+    is_binary,
     is_valid,
     parse_tree,
+    planar_trees,
 )
 
 import pytest
@@ -261,3 +266,116 @@ def test_decompose_reads_off_the_root():
     assert angles == (3,)
     with pytest.raises(DomainError):
         decompose(LEAF)
+
+
+# -- the accumulation kernel ------------------------------------------------
+
+def reference_bilinear(op, u, v):
+    """The bilinear extension as a plain sum of scaled products."""
+    out = LinComb()
+    for x, cx in u.terms.items():
+        for y, cy in v.terms.items():
+            out = out + op(x, y).scale(cx * cy)
+    return out
+
+
+def small_planar(top):
+    return [pt for n in range(1, top + 1) for m in range(1, n + 1)
+            for pt in planar_trees(n, m)]
+
+
+def kernel_cases():
+    """Basis products with a pool of basis elements to combine."""
+    for family in FAMILIES:
+        pool = small_trees(family, 2)
+        yield (lambda x, y, f=family: circle(f, x, y),
+               lambda u, v, f=family: circle_lc(f, u, v), pool)
+        yield (lambda x, y, f=family: star(f, x, y),
+               lambda u, v, f=family: star_lc(f, u, v), pool)
+    planar = small_planar(3)
+    for variant, pool in (("trialgebra", planar),
+                          ("dialgebra", [pt for pt in planar if is_binary(pt)])):
+        for op in ("left", "right", "star"):
+            def fn(a, b, v=variant, o=op):
+                return dendriform.dend_op(v, o, a, b)
+            yield fn, fn, pool
+
+
+def random_comb(rng, pool):
+    """A few terms with coefficients from a small set, plus one tree
+    given as ``c`` and ``-c``, which must cancel."""
+    values = [ONE, -ONE, LAMBDA, -LAMBDA, LambdaPoly((2, -1))]
+    pairs = [(rng.choice(pool), rng.choice(values)) for _ in range(rng.randint(1, 4))]
+    gone, c = rng.choice(pool), rng.choice(values)
+    return LinComb(pairs + [(gone, c), (gone, -c)])
+
+
+def cancelling_combs(op, pool):
+    """Combinations ``u``, ``v`` and a tree ``e`` that occurs in two of
+    the basis products of their terms and cancels in the sum."""
+    pairs = itertools.product(pool, repeat=2)
+    for (x1, y1), (x2, y2) in itertools.permutations(pairs, 2):
+        if x1 == x2:
+            continue
+        p1, p2 = op(x1, y1), op(x2, y2)
+        for e in p1.terms.keys() & p2.terms.keys():
+            u = LinComb([(x1, p2.coeff(e)), (x2, -p1.coeff(e))])
+            v = LinComb([(y1, ONE), (y2, ONE)])
+            if e not in reference_bilinear(op, u, v).terms:
+                return u, v, e
+    raise AssertionError("no two products cancel")
+
+
+def test_addmul_drops_zeros_on_collision_and_when_fresh():
+    a, b = t("1(. 1 .)"), t("1(. 2 .)")
+    acc = {a: LambdaPoly.const(2)}
+    terms = {a: ONE}
+    addmul(acc, terms, LambdaPoly.const(-2))
+    assert acc == {}
+    assert terms == {a: ONE}
+    addmul(acc, {b: ZERO}, ONE)
+    addmul(acc, {b: ZERO}, LAMBDA)
+    addmul(acc, {b: ONE}, ZERO)
+    assert acc == {}
+    acc = {a: LAMBDA}
+    addmul(acc, {a: ONE, b: LAMBDA}, ZERO)
+    assert acc == {a: LAMBDA}
+
+
+def test_bilinear_products_match_the_reference_sum():
+    rng = random.Random(20051)
+    for op, op_lc, pool in kernel_cases():
+        for _ in range(12):
+            u, v = random_comb(rng, pool), random_comb(rng, pool)
+            assert op_lc(u, v) == reference_bilinear(op, u, v)
+        u, v, e = cancelling_combs(op, pool)
+        got = op_lc(u, v)
+        assert e not in got.terms
+        assert got == reference_bilinear(op, u, v)
+
+
+def test_memoized_results_are_never_mutated():
+    # lru_cache hands one result object to every caller, so the kernel
+    # may read a memoized combination but never write into it.
+    pool = small_trees(FI2, 2)
+    planar = small_planar(3)
+    g = generator(FI2)
+    memos = [(circle, FI2, a, b) for a in pool for b in pool]
+    memos += [(star, FI2, a, b) for a in pool for b in pool]
+    memos += [(dendriform._star, "trialgebra", x, y) for x in planar for y in planar]
+    results = [fn(*args) for fn, *args in memos]
+    snapshots = [dict(r.terms) for r in results]
+    trees = [r for (fn, *_), r in zip(memos, results) if fn is not dendriform._star]
+    for r, s in zip(trees[::7], trees[1::7]):
+        circle_lc(FI2, r, s)
+        star_lc(FI2, r, s)
+        r.apply(lambda e: circle(FI2, e, g))
+    planars = results[len(trees):]
+    for r, s in zip(planars[::5], planars[1::5]):
+        dendriform.dend_op("trialgebra", "star", r, s)
+        r.apply(lambda e: dendriform._star("trialgebra", e, e))
+    for r, s in zip(results, results[1:]):
+        r + s
+    for (fn, *args), r, before in zip(memos, results, snapshots):
+        assert fn(*args) is r
+        assert r.terms == before
