@@ -31,8 +31,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
 from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, parse_poly
+from .scan import Cursor
 from .trees import (
     LEAF, Family, Node, Tree,
     bidegree, parse_tree, render_tree, with_root_label,
@@ -210,21 +211,6 @@ def bilinear(op: Callable, u: LinComb, v: LinComb) -> LinComb:
     return _wrap(out)
 
 
-def _scan_group(s: str, j: int) -> int:
-    """Index one past the parenthesized group opening at ``s[j]``."""
-    depth = 0
-    k = j
-    while k < len(s):
-        if s[k] == "(":
-            depth += 1
-        elif s[k] == ")":
-            depth -= 1
-            if depth == 0:
-                return k + 1
-        k += 1
-    raise ParseError("unbalanced parentheses", s, j)
-
-
 def parse_lincomb(text: str, parse_elem: Callable[[str], object]) -> LinComb:
     """Parse ``term (('+'|'-') term)*`` where each term is an optional
     coefficient (integer, weight monomial, or parenthesized weight
@@ -238,97 +224,57 @@ def parse_lincomb(text: str, parse_elem: Callable[[str], object]) -> LinComb:
     s = text.strip()
     if s == "0":
         return LinComb()
-    n = len(s)
+    cur = Cursor(s)
+    if not s:
+        raise cur.error("empty linear combination")
     terms: list[tuple[object, LambdaPoly]] = []
-    j = 0
-
-    def skip_ws(k):
-        while k < n and s[k].isspace():
-            k += 1
-        return k
-
-    def read_elem_text(k):
-        """The maximal element chunk starting at k: up to the next
-        top-level '+' or '-' (whitespace-separated), tracking parens."""
-        depth = 0
-        start = k
-        while k < n:
-            ch = s[k]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch in "+-" and depth == 0:
-                break
-            k += 1
-        return s[start:k].strip(), k
-
-    first = True
-    while True:
-        j = skip_ws(j)
-        if j >= n:
-            if first:
-                raise ParseError("empty linear combination", s, j)
-            break
-        sign = 1
-        if s[j] in "+-":
-            if first and s[j] == "+":
-                j += 1
-            else:
-                sign = -1 if s[j] == "-" else 1
-                if first and sign == 1:
-                    raise ParseError("unexpected '+'", s, j)
-                j += 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", s, j)
-        first = False
-        j = skip_ws(j)
-        if j >= n:
-            raise ParseError("dangling sign", s, j)
-
-        coeff = ONE
-        # optional coefficient factor, always terminated by '*'
-        if s[j] == "(":
-            end = _scan_group(s, j)
-            after = skip_ws(end)
-            if after < n and s[after] == "*":
-                coeff = parse_poly(s[j + 1:end - 1])
-                j = skip_ws(after + 1)
-        elif s[j] == "l" or s[j].isdigit():
-            # scan a candidate coefficient monomial: int, l, l^k, int*l, int*l^k
-            k = j
-            if s[k].isdigit():
-                while k < n and s[k].isdigit():
-                    k += 1
-                k2 = skip_ws(k)
-                if k2 < n and s[k2] == "*":
-                    k3 = skip_ws(k2 + 1)
-                    if k3 < n and s[k3] == "l":
-                        k = k3
-                    else:
-                        coeff = parse_poly(s[j:k])
-                        j = k3
-                        k = None
-                else:
-                    k = None  # bare int followed by non-'*': element text
-            if k is not None and k < n and s[k] == "l":
-                k += 1
-                if k < n and s[k] == "^":
-                    k += 1
-                    if k >= n or not s[k].isdigit():
-                        raise ParseError("expected exponent", s, k)
-                    while k < n and s[k].isdigit():
-                        k += 1
-                k2 = skip_ws(k)
-                if k2 < n and s[k2] == "*":
-                    coeff = parse_poly(s[j:k])
-                    j = skip_ws(k2 + 1)
-        elem_text, j = read_elem_text(j)
+    while cur.pos < len(s):  # every term after the first starts with its sign
+        sign = -1 if cur.peek() == "-" else 1
+        if cur.take("+") or cur.take("-"):
+            if not cur.ws():
+                raise cur.error("dangling sign")
+        coeff = _read_coeff(cur)
+        # the element runs to the next '+' or '-' outside parentheses
+        start, cur.pos = cur.pos, cur.group_end("+-")
+        elem_text = s[start:cur.pos].strip()
         if not elem_text:
-            raise ParseError("expected a basis element", s, j)
-        elem = parse_elem(elem_text)
-        terms.append((elem, coeff * sign))
+            raise cur.error("expected a basis element")
+        terms.append((parse_elem(elem_text), coeff * sign))
     return LinComb(terms)
+
+
+def _read_coeff(cur: Cursor) -> LambdaPoly:
+    """Read a coefficient and the ``*`` after it, or return ONE and leave
+    the cursor where it was.  A coefficient is a parenthesized polynomial,
+    an integer, or ``[int *] l[^nat]`` with no whitespace around ``^``."""
+    s = cur.text
+    start = cur.pos
+    ch = cur.peek()
+    if ch == "(":
+        end = cur.pos = cur.group_end()
+        poly = s[start + 1:end - 1]
+    elif ch == "l" or ch.isdecimal():
+        if ch != "l":
+            cur.digits()
+            end = cur.pos
+            if cur.ws() != "*":
+                cur.pos = start
+                return ONE
+            cur.pos += 1
+            if cur.ws() != "l":
+                return parse_poly(s[start:end])
+        cur.pos += 1  # the 'l'
+        if cur.take("^") and not cur.digits():
+            raise cur.error("expected exponent")
+        poly = s[start:cur.pos]
+    else:
+        return ONE
+    if cur.ws() != "*":
+        cur.pos = start
+        return ONE
+    cur.pos += 1
+    cur.ws()
+    return parse_poly(poly)
 
 
 def tree_lincomb_parser(text: str) -> LinComb:

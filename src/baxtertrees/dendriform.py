@@ -31,7 +31,9 @@ from functools import lru_cache
 from math import comb
 from typing import Union
 
-from .baxter_core import LinComb, addmul, beta_lc, bilinear, circle_lc, lower_root
+from .baxter_core import (
+    LinComb, addmul, beta_lc, bilinear, circle_lc, lower_root, star_lc,
+)
 from .errors import DomainError
 from .paths import restore_angles
 from .scalars import LAMBDA
@@ -144,11 +146,7 @@ def rb_dendriform(
         return circle_lc(family, beta_lc(family, ac), bc)
     if op == "dot":
         return circle_lc(family, ac, bc)
-    return (
-        circle_lc(family, ac, beta_lc(family, bc))
-        + circle_lc(family, beta_lc(family, ac), bc)
-        + circle_lc(family, ac, bc).scale(LAMBDA)
-    )
+    return star_lc(family, ac, bc)
 
 
 # ---------------------------------------------------------------------------

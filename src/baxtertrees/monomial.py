@@ -33,6 +33,7 @@ from typing import Iterable, Sequence, Union
 
 from .baxter_core import LinComb
 from .errors import DomainError, ParseError
+from .scan import Cursor
 from .trees import INF, Family, Node, Tree, bidegree, validate
 
 __all__ = [
@@ -147,9 +148,13 @@ def parse_word(text: str, variant: str = "infinity") -> Word:
             raise ParseError(f"unknown letter {base!r}", text, text.find(tok))
         k = 1
         if exp:
-            if not exp.isdigit() or int(exp) < 1:
+            cur = Cursor(exp)
+            try:
+                k = cur.nat()
+            except ParseError:
+                k = 0
+            if k < 1 or cur.peek():
                 raise ParseError(f"bad exponent {exp!r}", text, text.find(tok))
-            k = int(exp)
         letters.extend([int(base[1])] * k)
     w = Word(letters, variant)
     if not w.is_normal:

@@ -11,7 +11,7 @@ overflow silently.  Values are immutable and safe to share.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .scan import Cursor
 
 __all__ = ["LambdaPoly", "ZERO", "ONE", "LAMBDA", "parse_poly"]
 
@@ -192,65 +192,46 @@ def parse_poly(text: str) -> LambdaPoly:
 
     Whitespace is insignificant.  Round-trips everything `__str__` emits.
     """
-    s = text
-    i = 0
-    n = len(s)
-
-    def skip_ws(j):
-        while j < n and s[j].isspace():
-            j += 1
-        return j
-
-    def read_nat(j):
-        k = j
-        while k < n and s[k].isdigit():
-            k += 1
-        if k == j:
-            raise ParseError("expected a number", s, j)
-        return int(s[j:k]), k
-
+    cur = Cursor(text)
+    ch = cur.ws()
+    if not ch:
+        raise cur.error("empty polynomial", 0)
     coeffs: dict[int, int] = {}
-    i = skip_ws(i)
-    if i == n:
-        raise ParseError("empty polynomial", s, 0)
-    first = True
-    while True:
-        i = skip_ws(i)
+    while True:  # every term after the first starts with its sign
         sign = 1
-        if i < n and s[i] in "+-":
-            if s[i] == "-":
+        if ch in "+-":
+            if ch == "-":
                 sign = -1
-            i = skip_ws(i + 1)
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", s, i)
-        first = False
+            cur.pos += 1
+            ch = cur.ws()
         # term: optional integer part, optional l-part
         mag = None
-        if i < n and s[i].isdigit():
-            mag, i = read_nat(i)
-            i = skip_ws(i)
-            if i < n and s[i] == "*":
-                i = skip_ws(i + 1)
-                if i >= n or s[i] != "l":
-                    raise ParseError("expected 'l' after '*'", s, i)
-        if i < n and s[i] == "l":
-            i = skip_ws(i + 1)
+        if ch.isdecimal():
+            mag = cur.nat()
+            ch = cur.ws()
+            if ch == "*":
+                cur.pos += 1
+                ch = cur.ws()
+                if ch != "l":
+                    raise cur.error("expected 'l' after '*'")
+        if ch == "l":
+            cur.pos += 1
             power = 1
-            if i < n and s[i] == "^":
-                power, i = read_nat(skip_ws(i + 1))
+            if cur.ws() == "^":
+                cur.pos += 1
+                cur.ws()
+                power = cur.nat()
             if mag is None:
                 mag = 1
         else:
             if mag is None:
-                raise ParseError("expected a term", s, i)
+                raise cur.error("expected a term")
             power = 0
         coeffs[power] = coeffs.get(power, 0) + sign * mag
-        i = skip_ws(i)
-        if i == n:
+        ch = cur.ws()
+        if not ch:
             break
-        if s[i] not in "+-":
-            raise ParseError("unexpected character in polynomial", s, i)
-    if not coeffs:
-        return ZERO
+        if ch not in "+-":
+            raise cur.error("unexpected character in polynomial")
     top = max(coeffs)
     return LambdaPoly(tuple(coeffs.get(k, 0) for k in range(top + 1)))

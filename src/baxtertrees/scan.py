@@ -1,0 +1,88 @@
+"""The one text scanner behind the polynomial, tree, planar-tree and
+linear-combination parsers.
+
+A number is a run of decimal digits (``str.isdecimal``: ``²`` and other
+digit-like symbols that ``int`` refuses are not digits), and a number
+too long for ``int`` is a parse error.
+"""
+
+from __future__ import annotations
+
+from .errors import ParseError
+
+__all__ = ["Cursor"]
+
+
+class Cursor:
+    """A read position ``pos`` in one input string ``text``."""
+
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def ws(self) -> str:
+        """Skip whitespace; return the next character ('' at the end)."""
+        s, j = self.text, self.pos
+        while j < len(s) and s[j].isspace():
+            j += 1
+        self.pos = j
+        return s[j:j + 1]
+
+    def peek(self) -> str:
+        return self.text[self.pos:self.pos + 1]
+
+    def take(self, ch: str) -> bool:
+        """Step over ``ch`` if it is the next character."""
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def digits(self) -> str:
+        """Step over a run of decimal digits and return it."""
+        s, j = self.text, self.pos
+        k = j
+        while k < len(s) and s[k].isdecimal():
+            k += 1
+        self.pos = k
+        return s[j:k]
+
+    def nat(self) -> int:
+        start = self.pos
+        run = self.digits()
+        if not run:
+            raise self.error("expected a number")
+        try:
+            return int(run)
+        except ValueError:  # more digits than int() converts
+            raise self.error("number too long", start) from None
+
+    def group_end(self, stops: str = "") -> int:
+        """Index one past the parenthesized group that opens at the cursor;
+        given ``stops``, the index of the first of them outside every
+        group, or the end of the text."""
+        s = self.text
+        depth = 0
+        for k in range(self.pos, len(s)):
+            ch = s[k]
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0 and not stops:
+                    return k + 1
+            elif depth == 0 and ch in stops:
+                return k
+        if stops:
+            return len(s)
+        raise self.error("unbalanced parentheses")
+
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        return ParseError(message, self.text, self.pos if pos is None else pos)
+
+    def finish(self, what: str) -> None:
+        """Require that nothing but whitespace is left."""
+        if self.ws():
+            raise self.error(f"trailing input after {what}")

@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 from .errors import DomainError, ParseError
+from .scan import Cursor
 
 __all__ = [
     "Leaf", "LEAF", "Node", "Tree", "Family",
@@ -292,58 +293,39 @@ def render_tree(t: Tree) -> str:
 
 def parse_tree(text: str) -> Tree:
     """Parse the tree grammar ``tree := '.' | nat '(' tree (posint tree)+ ')'``."""
-    s = text
-    n = len(s)
-
-    def skip_ws(j):
-        while j < n and s[j].isspace():
-            j += 1
-        return j
-
-    def read_nat(j):
-        k = j
-        while k < n and s[k].isdigit():
-            k += 1
-        if k == j:
-            raise ParseError("expected a number", s, j)
-        return int(s[j:k]), k
-
-    def read_tree(j):
-        j = skip_ws(j)
-        if j >= n:
-            raise ParseError("unexpected end of input", s, j)
-        if s[j] == ".":
-            return LEAF, j + 1
-        if not s[j].isdigit():
-            raise ParseError("expected '.' or a node label", s, j)
-        label, j = read_nat(j)
-        j = skip_ws(j)
-        if j >= n or s[j] != "(":
-            raise ParseError("expected '(' after node label", s, j)
-        j += 1
-        child, j = read_tree(j)
-        children = [child]
-        angles = []
-        while True:
-            j = skip_ws(j)
-            if j >= n:
-                raise ParseError("unterminated node (missing ')')", s, j)
-            if s[j] == ")":
-                j += 1
-                break
-            angle, j = read_nat(j)
-            angles.append(angle)
-            child, j = read_tree(j)
-            children.append(child)
-        if len(children) < 2:
-            raise ParseError("a node needs at least two children", s, j - 1)
-        return Node(label, children, angles), j
-
-    t, j = read_tree(0)
-    j = skip_ws(j)
-    if j != n:
-        raise ParseError("trailing input after tree", s, j)
+    cur = Cursor(text)
+    t = _read_tree(cur)
+    cur.finish("tree")
     return t
+
+
+def _read_tree(cur: Cursor) -> Tree:
+    ch = cur.ws()
+    if ch == ".":
+        cur.pos += 1
+        return LEAF
+    if not ch:
+        raise cur.error("unexpected end of input")
+    if not ch.isdecimal():
+        raise cur.error("expected '.' or a node label")
+    label = cur.nat()
+    if cur.ws() != "(":
+        raise cur.error("expected '(' after node label")
+    cur.pos += 1
+    children = [_read_tree(cur)]
+    angles = []
+    while True:
+        ch = cur.ws()
+        if ch == ")":
+            cur.pos += 1
+            break
+        if not ch:
+            raise cur.error("unterminated node (missing ')')")
+        angles.append(cur.nat())
+        children.append(_read_tree(cur))
+    if len(children) < 2:
+        raise cur.error("a node needs at least two children", cur.pos - 1)
+    return Node(label, children, angles)
 
 
 # ---------------------------------------------------------------------------
@@ -549,42 +531,34 @@ def render_planar(t: PlanarTree) -> str:
 
 
 def parse_planar(text: str) -> PlanarTree:
-    s = text
-    n = len(s)
-
-    def skip_ws(j):
-        while j < n and s[j].isspace():
-            j += 1
-        return j
-
-    def read(j):
-        j = skip_ws(j)
-        if j >= n:
-            raise ParseError("unexpected end of input", s, j)
-        if s[j] == ".":
-            return LEAF, j + 1
-        if s[j] != "(":
-            raise ParseError("expected '.' or '('", s, j)
-        j += 1
-        children = []
-        while True:
-            j = skip_ws(j)
-            if j >= n:
-                raise ParseError("unterminated planar node", s, j)
-            if s[j] == ")":
-                j += 1
-                break
-            child, j = read(j)
-            children.append(child)
-        if len(children) < 2:
-            raise ParseError("a planar node needs at least two children", s, j - 1)
-        return PTree(children), j
-
-    t, j = read(0)
-    j = skip_ws(j)
-    if j != n:
-        raise ParseError("trailing input after tree", s, j)
+    cur = Cursor(text)
+    t = _read_planar(cur)
+    cur.finish("tree")
     return t
+
+
+def _read_planar(cur: Cursor) -> PlanarTree:
+    ch = cur.ws()
+    if ch == ".":
+        cur.pos += 1
+        return LEAF
+    if not ch:
+        raise cur.error("unexpected end of input")
+    if ch != "(":
+        raise cur.error("expected '.' or '('")
+    cur.pos += 1
+    children = []
+    while True:
+        ch = cur.ws()
+        if ch == ")":
+            cur.pos += 1
+            break
+        if not ch:
+            raise cur.error("unterminated planar node")
+        children.append(_read_planar(cur))
+    if len(children) < 2:
+        raise cur.error("a planar node needs at least two children", cur.pos - 1)
+    return PTree(children)
 
 
 @lru_cache(maxsize=None)

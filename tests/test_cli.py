@@ -240,6 +240,59 @@ def test_parse_error_is_exit_3(capsys):
     assert "parse error" in err
 
 
+LONG = "7" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "--family", "inf,inf", "1(. ² .)", "1(. 1 .)"],
+    ["word", "normalize", "x1^²"],
+    ["beta", "--family", "inf,inf", f"1(. {LONG} .)"],
+    ["product", "--family", "inf,inf", f"l^{LONG}*1(. 1 .)", "1(. 1 .)"],
+    ["word", "normalize", f"x1^{LONG}"],
+])
+def test_non_decimal_and_overlong_numbers_are_parse_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    if argv[0] == "word":
+        assert err.startswith("parse error: bad exponent '")
+
+
+# One command for each parse-error line that malformed commands of the
+# benchmark's cli-session pool print; their stderr is part of its goldens.
+@pytest.mark.parametrize("argv, line", [
+    (["word", "normalize", "x1^a", "--variant", "infinity"],
+     "parse error: bad exponent 'a' (at position 0: 'x1^a')"),
+    (["word", "normalize", "x0^0", "--variant", "infinity"],
+     "parse error: bad exponent '0' (at position 0: 'x0^0')"),
+    (["word", "normalize", "x2", "--variant", "infinity"],
+     "parse error: unknown letter 'x2' (at position 0: 'x2')"),
+    (["rotate", "HXV"],
+     "parse error: unknown step letter (at position 1: 'XV')"),
+    (["beta", "--family", "inf,2", "0x(. 3 .)"],
+     "parse error: expected '(' after node label (at position 1: 'x(. 3 .)')"),
+    (["beta", "--family", "2,inf", "1x(. 1 .)"],
+     "parse error: expected '(' after node label (at position 1: 'x(. 1 .)')"),
+    (["beta", "--family", "inf,inf", "1x(. 3 3(. 1 .) 1 .)"],
+     "parse error: expected '(' after node label (at position 1: 'x(. 3 3(. 1 ')"),
+    (["beta", "--family", "2,2", "1x(1(. 1 .) 1 .)"],
+     "parse error: expected '(' after node label (at position 1: 'x(1(. 1 .) 1')"),
+    (["beta", "--family", "2,inf", "1x(. 1 2(. 1 .) 1 .)"],
+     "parse error: expected '(' after node label (at position 1: 'x(. 1 2(. 1 ')"),
+    (["beta", "--family", "inf,2", "0x(. 1 1(. 2 .))"],
+     "parse error: expected '(' after node label (at position 1: 'x(. 1 1(. 2 ')"),
+    (["product", "--family", "inf,2", "1(. 3 .", "1(. 3 .)"],
+     "parse error: unterminated node (missing ')') (at position 7: '')"),
+    (["product", "--family", "inf,2", "0(. 2 1(. 3 .)", "0(. 2 1(. 3 .))"],
+     "parse error: unterminated node (missing ')') (at position 14: '')"),
+    (["product", "--family", "2,2", "1(. 1 1(. 1 .) 1 .", "1(. 1 1(. 1 .) 1 .)"],
+     "parse error: unterminated node (missing ')') (at position 18: '')"),
+])
+def test_pinned_parse_error_lines(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_PARSE, "", line + "\n")
+
+
 def test_domain_error_is_exit_4(capsys):
     # A free-angle tree handed to the forced-angle family.
     code, _, err = run(capsys, "product", "--family", "2,2", "1(. 2 .)", "1(. 1 .)")

@@ -202,6 +202,7 @@ def test_planar_render_round_trip(n):
     for m in range(n + 1):
         for t in planar_trees(n, m):
             assert parse_planar(render_planar(t)) == t
+            assert parse_planar(f" {render_planar(t)}\n".replace(" ", " \t")) == t
 
 
 def test_parse_planar_rejects_malformed():
