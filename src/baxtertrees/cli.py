@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .baxter_core import (
@@ -91,8 +92,10 @@ def _term_text(elem, coeff) -> str:
 
 def _emit_lincomb(v: LinComb, fmt: str) -> None:
     if fmt == "records":
-        for elem, coeff in v.items():
-            print(f"term\t{_term_text(elem, coeff)}")
+        # Every line is formatted before any is printed, so a term too
+        # long to print leaves no partial output behind its error.
+        for line in [f"term\t{_term_text(e, c)}" for e, c in v.items()]:
+            print(line)
     else:
         print(v)
 
@@ -398,6 +401,7 @@ def _add_common(sub, family=False, weight=False, fmt=True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser on every call; `main` keeps its own."""
     parser = argparse.ArgumentParser(
         prog="baxtertrees",
         description="Exact computation in the four free operator algebras "
@@ -544,9 +548,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process.  Reuse is safe:
+    no argument action keeps state between parses, and usage and error
+    text is formatted when printed, for the streams of that moment."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

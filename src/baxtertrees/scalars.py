@@ -11,7 +11,7 @@ overflow silently.  Values are immutable and safe to share.
 
 from __future__ import annotations
 
-from .scan import Cursor
+from .scan import Cursor, int_text
 
 __all__ = ["LambdaPoly", "ZERO", "ONE", "LAMBDA", "parse_poly"]
 
@@ -154,11 +154,11 @@ class LambdaPoly:
             if c == 0:
                 continue
             if k == 0:
-                body = str(abs(c))
+                body = int_text(abs(c))
             else:
                 body = "l" if k == 1 else f"l^{k}"
                 if abs(c) != 1:
-                    body = f"{abs(c)}*{body}"
+                    body = f"{int_text(abs(c))}*{body}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:

@@ -3,14 +3,28 @@ linear-combination parsers.
 
 A number is a run of decimal digits (``str.isdecimal``: ``²`` and other
 digit-like symbols that ``int`` refuses are not digits), and a number
-too long for ``int`` is a parse error.
+too long for ``int`` is a parse error.  Going the other way, `int_text`
+writes a number, and one too long for ``str`` is a domain error.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
+import sys
 
-__all__ = ["Cursor"]
+from .errors import DomainError, ParseError
+
+__all__ = ["Cursor", "int_text"]
+
+
+def int_text(n: int) -> str:
+    """Decimal text of ``n``.  Past ``sys.get_int_max_str_digits()``
+    digits ``str`` refuses, and so does this, with a `DomainError`."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DomainError(
+            f"a number of more than {sys.get_int_max_str_digits()} digits "
+            "is too long to print") from None
 
 
 class Cursor:

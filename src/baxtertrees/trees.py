@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 from .errors import DomainError, ParseError
-from .scan import Cursor
+from .scan import Cursor, int_text
 
 __all__ = [
     "Leaf", "LEAF", "Node", "Tree", "Family",
@@ -115,12 +115,20 @@ class Node:
         label, child count, and the interleaved (child key, angle)
         sequence, lexicographically."""
         if self._key is None:
-            n, m = bidegree(self)
-            parts = [-(n + m), -m, self.label, len(self.children)]
+            # A child node's key starts with its own negated degrees, so
+            # the bidegree sums come from the children's cached keys.
+            m = self.label
+            total = m + sum(self.angles)
+            parts = [0, 0, self.label, len(self.children)]
             for k, child in enumerate(self.children):
-                parts.append(child.sort_key())
+                key = child.sort_key()
+                if not child.is_leaf:
+                    total -= key[0]
+                    m -= key[1]
+                parts.append(key)
                 if k < len(self.angles):
                     parts.append(self.angles[k])
+            parts[0], parts[1] = -total, -m
             self._key = tuple(parts)
         return self._key
 
@@ -286,9 +294,9 @@ def render_tree(t: Tree) -> str:
         return "."
     inner = [render_tree(t.children[0])]
     for angle, child in zip(t.angles, t.children[1:]):
-        inner.append(str(angle))
+        inner.append(int_text(angle))
         inner.append(render_tree(child))
-    return f"{t.label}({' '.join(inner)})"
+    return f"{int_text(t.label)}({' '.join(inner)})"
 
 
 def parse_tree(text: str) -> Tree:
@@ -463,17 +471,6 @@ def count_trees(family: Family, n: int, m: int) -> int:
 # Unlabeled planar rooted trees
 # ---------------------------------------------------------------------------
 
-def _planar_counts(t: "PlanarTree") -> tuple[int, int]:
-    """(leaf count, internal-node count) of an unlabeled planar tree."""
-    if t.is_leaf:
-        return 1, 0
-    leaves = nodes = 0
-    for child in t.children:
-        l2, n2 = _planar_counts(child)
-        leaves += l2
-        nodes += n2
-    return leaves, nodes + 1
-
 class PTree:
     """An unlabeled planar rooted tree node (>= 2 children, any of which
     may be leaves).  The leaf is the shared `LEAF` singleton."""
@@ -492,10 +489,18 @@ class PTree:
 
     def sort_key(self):
         if self._key is None:
-            leaves, nodes = _planar_counts(self)
-            parts = [-(leaves - 1 + nodes), -nodes, len(self.children)]
+            # Negated (leaves - 1 + nodes) and nodes, summed from the
+            # children's cached keys: a leaf child adds one leaf, a node
+            # child its own leaves + nodes, which is 1 - key[0].
+            total, nodes = len(self.children), 1
+            parts = [0, 0, len(self.children)]
             for child in self.children:
-                parts.append(child.sort_key())
+                key = child.sort_key()
+                if not child.is_leaf:
+                    total -= key[0]
+                    nodes -= key[1]
+                parts.append(key)
+            parts[0], parts[1] = -total, -nodes
             self._key = tuple(parts)
         return self._key
 

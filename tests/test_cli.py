@@ -1,12 +1,15 @@
 """Command-line interface: output text, record format, and exit codes."""
 
-from baxtertrees.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
+from baxtertrees.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
 
 import pytest
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse ends usage errors and help this way
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -298,6 +301,70 @@ def test_domain_error_is_exit_4(capsys):
     code, _, err = run(capsys, "product", "--family", "2,2", "1(. 2 .)", "1(. 1 .)")
     assert code == EXIT_DOMAIN
     assert "domain error" in err
+
+
+NINES = "9" * 4300  # the most digits int() and str() convert
+
+
+@pytest.mark.parametrize("argv", [
+    # Two 4300-digit angles sum to a 4301-digit one.
+    ["product", "--family", "inf,inf", f"1(. {NINES} .)", f"1(. {NINES} .)"],
+    ["product", "--family", "inf,inf", "--format", "records",
+     f"1(. {NINES} .)", f"1(. {NINES} .)"],
+    # The operator raises a 4300-digit root label by one.
+    ["beta", "--family", "inf,inf", f"{NINES}(. 1 .)"],
+    # A coefficient squared.
+    ["product", "--family", "inf,inf", f"{NINES}*1(. 1 .)", f"{NINES}*1(. 1 .)"],
+])
+def test_numbers_too_long_to_print_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == ("domain error: a number of more than 4300 digits "
+                   "is too long to print\n")
+
+
+def test_numbers_of_4300_digits_still_print(capsys):
+    eights = "8" * 4300
+    code, out, _ = run(capsys, "beta", "--family", "inf,inf", f"{eights}(. 1 .)")
+    assert (code, out) == (EXIT_OK, f"{eights[:-1]}9(. 1 .)\n")
+    # At weight 0 the l-term, whose angle would have 4301 digits, drops.
+    code, out, _ = run(capsys, "product", "--family", "inf,inf", "--lambda", "0",
+                       f"1(. {NINES} .)", "1(. 1 .)")
+    assert (code, out) == (EXIT_OK, f"1(1(. {NINES} .) 1 .) + 1(. {NINES} 1(. 1 .))\n")
+
+
+# -- parser reuse -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["product", "--family", "3,2", "1(. 1 .)", "1(. 1 .)"],
+    ["enumerate", "--family", "2,2", "x", "1"],
+    ["--help"],
+    ["product", "--help"],
+])
+def test_repeated_usage_errors_and_help_print_the_same(capsys, argv):
+    others = [
+        ["product", "--family", "inf,2", "1(. 2 .)", "1(. 3 .)"],
+        ["rotate", "HXV"],
+        ["enumerate", "--family", "2,2", "1", "1", "--format", "records"],
+        ["no-such-command"],
+    ]
+    first = run(capsys, *argv)
+    for other in others:
+        run(capsys, *other)
+    assert run(capsys, *argv) == first
+    code, out, err = first
+    assert (out if code == 0 else err).startswith("usage: baxtertrees")
+
+
+def test_build_parser_is_fresh_and_main_keeps_its_own(capsys):
+    assert build_parser() is not build_parser()
+    argv = ["--extra", "x", "dims", "--family", "2,2"]
+    before = run(capsys, *argv)
+    extended = build_parser()
+    extended.add_argument("--extra")
+    assert extended.parse_args(argv).extra == "x"
+    assert run(capsys, *argv) == before
+    assert before[0] == 2
 
 
 def test_verify_quick_suite(capsys):

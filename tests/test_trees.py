@@ -12,6 +12,7 @@ from baxtertrees.trees import (
     Family,
     INF,
     Node,
+    PTree,
     bidegree,
     binary_trees,
     count_trees,
@@ -203,6 +204,37 @@ def test_planar_render_round_trip(n):
         for t in planar_trees(n, m):
             assert parse_planar(render_planar(t)) == t
             assert parse_planar(f" {render_planar(t)}\n".replace(" ", " \t")) == t
+
+
+def planar_counts(t):
+    """(leaves, internal nodes), counted without the sort keys."""
+    if t.is_leaf:
+        return 1, 0
+    counts = [planar_counts(c) for c in t.children]
+    return sum(c[0] for c in counts), 1 + sum(c[1] for c in counts)
+
+
+def test_sort_keys_lead_with_the_negated_degrees():
+    for family in FAMILIES:
+        for n in range(7):
+            for m in range(7 - n):
+                for t in enumerate_trees(family, n, m):
+                    nn, mm = bidegree(t)
+                    assert t.sort_key()[:2] == (-(nn + mm), -mm)
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            for t in planar_trees(n, m):
+                leaves, nodes = planar_counts(t)
+                assert leaves == n + 1 and nodes == m
+                assert t.sort_key()[:2] == (-(leaves - 1 + nodes), -nodes)
+
+
+def test_deep_chains_key():
+    t, p = Node(1, (LEAF, LEAF), (2,)), PTree((LEAF, LEAF))
+    for _ in range(499):
+        t, p = Node(1, (t, LEAF), (2,)), PTree((LEAF, p, LEAF))
+    assert t.sort_key()[:2] == (-1500, -500)
+    assert p.sort_key()[:2] == (-(1000 - 1 + 500), -500)
 
 
 def test_parse_planar_rejects_malformed():
