@@ -137,6 +137,24 @@ class LinComb:
             addmul(out, f(elem).terms, coeff)
         return _wrap(out)
 
+    def map(self, f: Callable) -> "LinComb":
+        """Linear extension of a basis map ``f: elem -> elem``: each
+        coefficient moves to the image of its element, and images that
+        collide add, dropping a sum that is zero."""
+        out: dict = {}
+        for elem, coeff in self.terms.items():
+            img = f(elem)
+            old = out.get(img)
+            if old is None:
+                out[img] = coeff
+            else:
+                coeff = old + coeff
+                if coeff.is_zero:
+                    del out[img]
+                else:
+                    out[img] = coeff
+        return _wrap(out)
+
     def map_coeffs(self, f: Callable[[LambdaPoly], LambdaPoly]) -> "LinComb":
         return LinComb([(e, f(c)) for e, c in self.terms.items()])
 
@@ -206,8 +224,9 @@ def bilinear(op: Callable, u: LinComb, v: LinComb) -> LinComb:
     """The bilinear extension of a basis product ``op(x, y) -> LinComb``."""
     out: dict = {}
     for x, cx in u.terms.items():
+        unit = cx.coeffs == (1,)
         for y, cy in v.terms.items():
-            addmul(out, op(x, y).terms, cx * cy)
+            addmul(out, op(x, y).terms, cy if unit else cx * cy)
     return _wrap(out)
 
 
@@ -408,9 +427,7 @@ def circle(family: Family, t: Tree, s: Tree) -> LinComb:
     prefix = t_pieces[:-1]
     suffix = s_pieces[1:]
     angles = t_angles + s_angles
-    return middle.apply(
-        lambda mid: LinComb.of(graft(family, prefix + (mid,) + suffix, angles))
-    )
+    return middle.map(lambda mid: graft(family, prefix + (mid,) + suffix, angles))
 
 
 @lru_cache(maxsize=None)

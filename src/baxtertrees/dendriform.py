@@ -50,19 +50,26 @@ _OPS = ("left", "right", "dot", "star")
 
 
 def _as_comb(v: Union[PlanarTree, LinComb]) -> LinComb:
-    return v if isinstance(v, LinComb) else LinComb(v)
+    return v if isinstance(v, LinComb) else LinComb.of(v)
 
 
 def _check_basis(variant: str, v: LinComb, allow_leaf: bool) -> None:
-    for elem in v.support():
-        if elem.is_leaf:
-            if not allow_leaf:
-                raise DomainError("the bare leaf is only a unit for star")
-            continue
-        if not isinstance(elem, PTree):
-            raise DomainError("expected a planar tree basis element")
-        if variant == "dialgebra" and not is_binary(elem):
-            raise DomainError("dialgebra basis elements must be binary trees")
+    """Reject the first bad element in display order; only a combination
+    that has one is sorted."""
+    bad = [e for e in v.terms if _basis_error(variant, e, allow_leaf)]
+    if bad:
+        first = min(bad, key=lambda e: e.sort_key())
+        raise DomainError(_basis_error(variant, first, allow_leaf))
+
+
+def _basis_error(variant: str, elem, allow_leaf: bool) -> str:
+    if elem.is_leaf:
+        return "" if allow_leaf else "the bare leaf is only a unit for star"
+    if not isinstance(elem, PTree):
+        return "expected a planar tree basis element"
+    if variant == "dialgebra" and not is_binary(elem):
+        return "dialgebra basis elements must be binary trees"
+    return ""
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +99,7 @@ def _dot(variant: str, x: PTree, y: PTree) -> LinComb:
 
 def _seam(middle: LinComb, head: tuple, tail: tuple) -> LinComb:
     """Each tree of ``middle`` grafted between the children ``head`` and ``tail``."""
-    return middle.apply(lambda t: LinComb.of(PTree(head + (t,) + tail)))
+    return middle.map(lambda t: PTree(head + (t,) + tail))
 
 
 def dend_op(
@@ -158,12 +165,12 @@ def embed_trialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
     interior-leaf runs into angle labels, then drop the root label."""
     xc = _as_comb(x)
 
-    def one(pt: PlanarTree) -> LinComb:
+    def one(pt: PlanarTree) -> Tree:
         if pt.is_leaf:
             raise DomainError("the bare leaf has no decorated image")
-        return LinComb(lower_root(restore_angles(pt)))
+        return lower_root(restore_angles(pt))
 
-    return xc.apply(one)
+    return xc.map(one)
 
 
 def _relabel_binary(t: PlanarTree, root: bool) -> Tree:
@@ -178,14 +185,14 @@ def embed_dialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
     internal label 1, and all angle labels 1."""
     xc = _as_comb(x)
 
-    def one(pt: PlanarTree) -> LinComb:
+    def one(pt: PlanarTree) -> Tree:
         if pt.is_leaf:
             raise DomainError("the bare leaf has no decorated image")
         if not is_binary(pt):
             raise DomainError("dialgebra elements must be binary trees")
-        return LinComb(_relabel_binary(pt, True))
+        return _relabel_binary(pt, True)
 
-    return xc.apply(one)
+    return xc.map(one)
 
 
 def dt_dim(n: int, m: int) -> int:

@@ -84,10 +84,6 @@ class Word:
         self._hash = hash((self.letters, self.variant))
 
     @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
-    @property
     def is_normal(self) -> bool:
         """Normal form: no two equal adjacent letters (always true for
         the free variant)."""

@@ -26,6 +26,7 @@ dendriform structures and the path bijections.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
@@ -471,21 +472,38 @@ def count_trees(family: Family, n: int, m: int) -> int:
 # Unlabeled planar rooted trees
 # ---------------------------------------------------------------------------
 
+# The hash-consing table: children tuple -> weak reference to the tree.
+_PLANAR: dict = {}
+
+
 class PTree:
     """An unlabeled planar rooted tree node (>= 2 children, any of which
-    may be leaves).  The leaf is the shared `LEAF` singleton."""
+    may be leaves).  The leaf is the shared `LEAF` singleton.
 
-    __slots__ = ("children", "_hash", "_key")
+    Planar trees are hash-consed: building a tree whose children tuple
+    matches a live tree returns that tree, so equal trees are one object
+    and compare and hash by identity.  The table holds its trees weakly,
+    so a tree leaves it when the last reference to it goes.
+    """
+
+    __slots__ = ("children", "_key", "__weakref__")
 
     is_leaf = False
 
-    def __init__(self, children: Sequence["PlanarTree"]):
+    def __new__(cls, children: Sequence["PlanarTree"]):
         children = tuple(children)
-        if len(children) < 2:
-            raise DomainError(f"a planar node needs at least 2 children, got {len(children)}")
-        self.children = children
-        self._hash = hash(("PT", children))
-        self._key = None
+        ref = _PLANAR.get(children)
+        t = ref() if ref is not None else None
+        if t is None:
+            if len(children) < 2:
+                raise DomainError(
+                    f"a planar node needs at least 2 children, got {len(children)}")
+            t = object.__new__(cls)
+            t.children = children
+            t._key = None
+            ref = _PLANAR[children] = _PlanarRef(t, _forget)
+            ref.children = children
+        return t
 
     def sort_key(self):
         if self._key is None:
@@ -504,16 +522,6 @@ class PTree:
             self._key = tuple(parts)
         return self._key
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PTree):
-            return NotImplemented
-        return self._hash == other._hash and self.children == other.children
-
-    def __hash__(self):
-        return self._hash
-
     def __str__(self):
         return render_planar(self)
 
@@ -522,6 +530,19 @@ class PTree:
 
 
 PlanarTree = Union[Leaf, PTree]
+
+
+class _PlanarRef(weakref.ref):
+    """A weak reference to an interned planar tree that removes the
+    tree's table entry when the tree dies, unless the entry already
+    names a newer tree with the same children."""
+
+    __slots__ = ("children",)
+
+
+def _forget(ref: _PlanarRef, table: dict = _PLANAR) -> None:
+    if table.get(ref.children) is ref:
+        del table[ref.children]
 
 
 def planar_sort_key(t: PlanarTree):

@@ -857,23 +857,28 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
 # dendriform: seven axioms, induced splittings, embeddings
 # ---------------------------------------------------------------------------
 
-def _axiom_failures(
-    left: Callable, right: Callable, dot: Callable, star_: Callable,
-    triples: Iterator,
-) -> list:
-    """Check the seven splitting axioms on each (x, y, z)."""
+# The seven splitting axioms: a tag, and both sides as functions of the
+# operations (left, right, dot, star) and a triple.  The first three,
+# which never use dot, are the dialgebra's axioms.
+_AXIOMS = (
+    ("<<", lambda lt, rt, dt, st, x, y, z: (lt(lt(x, y), z), lt(x, st(y, z)))),
+    ("><", lambda lt, rt, dt, st, x, y, z: (lt(rt(x, y), z), rt(x, lt(y, z)))),
+    (">>", lambda lt, rt, dt, st, x, y, z: (rt(st(x, y), z), rt(x, rt(y, z)))),
+    (".<", lambda lt, rt, dt, st, x, y, z: (lt(dt(x, y), z), dt(x, lt(y, z)))),
+    (".>", lambda lt, rt, dt, st, x, y, z: (dt(lt(x, y), z), dt(x, rt(y, z)))),
+    (">.", lambda lt, rt, dt, st, x, y, z: (dt(rt(x, y), z), rt(x, dt(y, z)))),
+    ("..", lambda lt, rt, dt, st, x, y, z: (dt(dt(x, y), z), dt(x, dt(y, z)))),
+)
+
+
+def _axiom_failures(ops: Sequence[Callable], triples: Iterator,
+                    axioms: Sequence) -> list:
+    """Check each of ``axioms`` on each (x, y, z); ``ops`` are the
+    operations left, right, dot and star."""
     bad = []
     for x, y, z in triples:
-        checks = (
-            ("<<", left(left(x, y), z), left(x, star_(y, z))),
-            ("><", left(right(x, y), z), right(x, left(y, z))),
-            (">>", right(star_(x, y), z), right(x, right(y, z))),
-            (".<", left(dot(x, y), z), dot(x, left(y, z))),
-            (".>", dot(left(x, y), z), dot(x, right(y, z))),
-            (">.", dot(right(x, y), z), right(x, dot(y, z))),
-            ("..", dot(dot(x, y), z), dot(x, dot(y, z))),
-        )
-        for tag, lhs, rhs in checks:
+        for tag, sides in axioms:
+            lhs, rhs = sides(*ops, x, y, z)
             if lhs != rhs:
                 bad.append((tag, str(x), str(y), str(z)))
     return bad
@@ -884,12 +889,15 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
     pool = [pt for n in range(1, lv) for m in range(1, n + 1)
             for pt in planar_trees(n, m)]
 
-    def mk(op):
-        return lambda x, y: dend_op("trialgebra", op, x, y)
+    def mk(fn, first):
+        """left, right, dot and star as ``fn(first, op, x, y)``."""
+        return [lambda x, y, op=op: fn(first, op, x, y)
+                for op in ("left", "right", "dot", "star")]
 
     bad = _axiom_failures(
-        mk("left"), mk("right"), mk("dot"), mk("star"),
+        mk(dend_op, "trialgebra"),
         ((x, y, z) for x in pool for y in pool for z in pool),
+        _AXIOMS,
     )
     rec.all_equal(
         f"seven axioms hold symbolically on trees with <= {lv} leaves", bad
@@ -899,15 +907,12 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for family in (_F22, _FI2):
         tp = _trees_upto(family, rb)
-
-        def mkrb(op, fam=family):
-            return lambda x, y: rb_dendriform(fam, op, x, y)
-
         bad.extend(
             (family,) + f
             for f in _axiom_failures(
-                mkrb("left"), mkrb("right"), mkrb("dot"), mkrb("star"),
+                mk(rb_dendriform, family),
                 ((x, y, z) for x in tp for y in tp for z in tp),
+                _AXIOMS,
             )
         )
     rec.all_equal(
@@ -916,20 +921,11 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
 
     bin_pool = [bt for n in range(1, lv) for bt in binary_trees(n)]
 
-    def mkd(op):
-        return lambda x, y: dend_op("dialgebra", op, x, y)
-
-    l_, r_, s_ = mkd("left"), mkd("right"), mkd("star")
-    bad = []
-    for x, y, z in ((x, y, z) for x in bin_pool for y in bin_pool for z in bin_pool):
-        checks = (
-            ("<<", l_(l_(x, y), z), l_(x, s_(y, z))),
-            ("><", l_(r_(x, y), z), r_(x, l_(y, z))),
-            (">>", r_(s_(x, y), z), r_(x, r_(y, z))),
-        )
-        for tag, lhs, rhs in checks:
-            if lhs != rhs:
-                bad.append((tag, str(x), str(y), str(z)))
+    bad = _axiom_failures(
+        mk(dend_op, "dialgebra"),
+        ((x, y, z) for x in bin_pool for y in bin_pool for z in bin_pool),
+        _AXIOMS[:3],
+    )
     rec.all_equal(
         f"two-operation axioms hold on binary trees with <= {lv} leaves", bad
     )

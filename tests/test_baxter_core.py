@@ -42,6 +42,7 @@ from baxtertrees.trees import (
     is_valid,
     parse_tree,
     planar_trees,
+    with_root_label,
 )
 
 import pytest
@@ -370,12 +371,48 @@ def test_memoized_results_are_never_mutated():
         circle_lc(FI2, r, s)
         star_lc(FI2, r, s)
         r.apply(lambda e: circle(FI2, e, g))
+    for r in trees:
+        r.map(raise_root)
+        r.map(lambda e: g)
     planars = results[len(trees):]
     for r, s in zip(planars[::5], planars[1::5]):
         dendriform.dend_op("trialgebra", "star", r, s)
         r.apply(lambda e: dendriform._star("trialgebra", e, e))
+    for r in planars:
+        r.map(lambda e: e)
+        r.map(lambda e: planar[0])
     for r, s in zip(results, results[1:]):
         r + s
     for (fn, *args), r, before in zip(memos, results, snapshots):
         assert fn(*args) is r
         assert r.terms == before
+
+
+# -- the basis-map kernel ---------------------------------------------------
+
+def test_map_matches_apply_of_one_term_images():
+    rng = random.Random(20061)
+    pool = small_trees(FI2, 2)
+    planar = small_planar(3)
+    cases = [
+        (pool, raise_root),
+        (pool, lambda e: with_root_label(e, 0)),  # merges root labels
+        (pool, lambda e: pool[len(str(e)) % 3]),  # merges almost everything
+        (planar, lambda e: e.children[0]),
+    ]
+    for elems, f in cases:
+        for _ in range(20):
+            u = random_comb(rng, elems)
+            assert u.map(f) == u.apply(lambda e: LinComb.of(f(e)))
+
+
+def test_map_adds_colliding_images_and_drops_a_zero_sum():
+    a, b, c, d = t("1(. 1 .)"), t("2(. 1 .)"), t("1(. 2 .)"), t("3(. 1 .)")
+    merge = {a: c, b: c, c: a, d: c}.__getitem__
+    v = LinComb([(a, LAMBDA), (b, -LAMBDA), (c, ONE)])
+    assert v.map(merge).terms == {a: ONE}
+    w = LinComb([(a, ONE), (b, -ONE), (d, LAMBDA)])  # cancels, then returns
+    assert w.map(merge).terms == {c: LAMBDA}
+    assert LinComb([(a, LAMBDA), (b, ONE)]).map(merge).terms == {c: LAMBDA + ONE}
+    assert LinComb([(a, ONE), (b, -ONE)]).map(merge).is_zero
+    assert LinComb().map(merge).is_zero

@@ -76,6 +76,18 @@ def test_dialgebra_has_no_middle():
         dend_op("dialgebra", "left", p("(. . .)"), a)
 
 
+def test_bad_basis_element_reported_first_in_display_order():
+    # The leaf comes first in the combination but last in display order.
+    mixed = LinComb.of(LEAF) + LinComb.of(p("(. . .)"))
+    b = p("(. .)")
+    with pytest.raises(DomainError, match="^dialgebra basis elements must be binary trees$"):
+        dend_op("dialgebra", "left", mixed, b)
+    with pytest.raises(DomainError, match="^dialgebra basis elements must be binary trees$"):
+        dend_op("dialgebra", "star", b, mixed)
+    with pytest.raises(DomainError, match="^the bare leaf is only a unit for star$"):
+        dend_op("trialgebra", "right", b, mixed)
+
+
 def test_trialgebra_axioms_small():
     pool = planar_pool(4)  # up to 3 leaves
     lt = lambda x, y: dend_op("trialgebra", "left", x, y)

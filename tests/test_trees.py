@@ -1,11 +1,18 @@
 """Decorated-tree grammar, validation, enumeration, and planar bases."""
 
+import gc
+import importlib
 import itertools
+import pkgutil
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import baxtertrees
+from baxtertrees import trees, verify
+from baxtertrees.dendriform import dend_op
 from baxtertrees.errors import DomainError, ParseError
+from baxtertrees.paths import _strip, path_to_tree, restore_angles, tree_to_path
 from baxtertrees.trees import (
     FAMILIES,
     LEAF,
@@ -241,3 +248,61 @@ def test_parse_planar_rejects_malformed():
     for bad in ("(", "(.)", "(. . ", "x", ""):
         with pytest.raises(ParseError):
             parse_planar(bad)
+
+
+# -- hash-consed planar trees ------------------------------------------------
+
+def test_equal_planar_trees_are_one_object():
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            for pt in planar_trees(n, m):
+                assert parse_planar(render_planar(pt)) is pt
+                assert path_to_tree(tree_to_path(pt)) is pt
+                assert _strip(restore_angles(pt)) is pt
+                assert PTree(list(pt.children)) is pt
+        for bt in binary_trees(n):
+            assert any(bt is pt for pt in planar_trees(n, n))
+    a, b = parse_planar("((. .) .)"), parse_planar("(. .)")
+    for op, text in (("left", "((. .) (. .))"), ("right", "(((. .) .) .)"),
+                     ("dot", "((. .) . .)")):
+        (got,) = dend_op("trialgebra", op, a, b).terms
+        assert got is parse_planar(text)
+
+
+def test_planar_trees_compare_by_identity():
+    assert PTree.__hash__ is object.__hash__
+    assert PTree.__eq__ is object.__eq__
+
+
+def test_rejected_planar_node_leaves_nothing_in_the_table():
+    size = len(trees._PLANAR)
+    for kids in ((), (LEAF,)):
+        with pytest.raises(DomainError):
+            PTree(kids)
+        assert kids not in trees._PLANAR
+    assert len(trees._PLANAR) == size
+
+
+def package_memos():
+    for info in pkgutil.iter_modules(baxtertrees.__path__):
+        module = importlib.import_module(f"baxtertrees.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                yield obj
+
+
+def clear_memos():
+    for memo in package_memos():
+        memo.cache_clear()
+    gc.collect()
+
+
+def test_planar_table_frees_the_trees_of_a_suite():
+    clear_memos()
+    before = [ref() for ref in trees._PLANAR.values()]
+    assert verify.run_suite("dendriform", "quick").ok
+    assert len(trees._PLANAR) > len(before)
+    clear_memos()
+    after = [ref() for ref in trees._PLANAR.values()]
+    assert None not in after
+    assert {id(pt) for pt in after} <= {id(pt) for pt in before}

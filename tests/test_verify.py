@@ -1,7 +1,11 @@
 """Self-check driver: suite registry, budgets, and result bookkeeping."""
 
+from baxtertrees.dendriform import dend_op
 from baxtertrees.errors import DomainError
-from baxtertrees.verify import BUDGETS, DEFAULT_SEED, SUITES, run_suite, run_suites
+from baxtertrees.trees import binary_trees
+from baxtertrees.verify import (
+    _AXIOMS, BUDGETS, DEFAULT_SEED, SUITES, _axiom_failures, run_suite, run_suites,
+)
 
 import pytest
 
@@ -39,3 +43,24 @@ def test_seed_changes_only_spot_checks():
     b = run_suite("examples", budget="quick", seed=DEFAULT_SEED + 1)
     assert a.ok and b.ok
     assert [c.name for c in a.checks] == [c.name for c in b.checks]
+
+
+def test_axiom_table_reports_like_the_written_out_checks():
+    # left and right swapped, so the dialgebra axioms fail on some triples
+    def op(name):
+        return lambda x, y: dend_op("dialgebra", name, x, y)
+
+    l_, r_, s_ = op("right"), op("left"), op("star")
+    pool = [bt for n in (1, 2) for bt in binary_trees(n)]
+    triples = [(x, y, z) for x in pool for y in pool for z in pool]
+    expected = []
+    for x, y, z in triples:
+        for tag, lhs, rhs in (
+            ("<<", l_(l_(x, y), z), l_(x, s_(y, z))),
+            ("><", l_(r_(x, y), z), r_(x, l_(y, z))),
+            (">>", r_(s_(x, y), z), r_(x, r_(y, z))),
+        ):
+            if lhs != rhs:
+                expected.append((tag, str(x), str(y), str(z)))
+    assert expected
+    assert _axiom_failures((l_, r_, None, s_), iter(triples), _AXIOMS[:3]) == expected
