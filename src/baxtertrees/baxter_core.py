@@ -203,9 +203,11 @@ def _wrap(terms: dict) -> LinComb:
 def addmul(acc: dict, terms: Mapping, coeff: LambdaPoly) -> None:
     """Add ``coeff * terms`` into the coefficient dict ``acc`` in place.
 
-    The one place terms are merged: a zero result is dropped, whether it
-    cancels against ``acc`` or is zero from the start.  ``terms`` is only
-    read, since it may be a memoized result shared with other callers.
+    Sums, products and linear extensions merge terms here; only
+    `LinComb.map` merges its own, the colliding images of a basis map.
+    A zero result is dropped, whether it cancels against ``acc`` or is
+    zero from the start.  ``terms`` is only read, since it may be a
+    memoized result shared with other callers.
     """
     unit = coeff.coeffs == (1,)
     for elem, c in terms.items():

@@ -37,7 +37,7 @@ from .baxter_core import (
 from .errors import DomainError
 from .paths import restore_angles
 from .scalars import LAMBDA
-from .trees import LEAF, Family, Node, PTree, PlanarTree, Tree, is_binary
+from .trees import Family, PTree, PlanarTree, Tree, is_binary
 
 __all__ = [
     "dend_op", "rb_dendriform",
@@ -173,13 +173,6 @@ def embed_trialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
     return xc.map(one)
 
 
-def _relabel_binary(t: PlanarTree, root: bool) -> Tree:
-    if t.is_leaf:
-        return LEAF
-    children = tuple(_relabel_binary(c, False) for c in t.children)
-    return Node(0 if root else 1, children, (1,) * (len(children) - 1))
-
-
 def embed_dialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
     """Send a binary tree to itself with root label 0, every other
     internal label 1, and all angle labels 1."""
@@ -190,7 +183,7 @@ def embed_dialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
             raise DomainError("the bare leaf has no decorated image")
         if not is_binary(pt):
             raise DomainError("dialgebra elements must be binary trees")
-        return _relabel_binary(pt, True)
+        return lower_root(restore_angles(pt))
 
     return xc.map(one)
 

@@ -409,11 +409,8 @@ def restore_angles(pt: PlanarTree) -> Tree:
 
 def _restore(pt: PlanarTree) -> Tree:
     kids = pt.children
-    real = [0, len(kids) - 1]
-    for k in range(1, len(kids) - 1):
-        if not kids[k].is_leaf:
-            real.insert(-1, k)
-    real = sorted(set(real))
+    last = len(kids) - 1
+    real = [0] + [k for k in range(1, last) if not kids[k].is_leaf] + [last]
     children = []
     angles = []
     for idx, k in enumerate(real):

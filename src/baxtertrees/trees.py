@@ -47,6 +47,49 @@ INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+# ---------------------------------------------------------------------------
+#
+# Both tree kinds are hash-consed: building a tree whose parts match a
+# live tree returns that tree, so equal trees are one object and compare
+# and hash by identity.  Each intern table maps a tree's parts to a weak
+# reference, so a tree leaves its table when the last reference to it
+# goes; the tables cache no results.
+
+# Decorated trees: (label, children, angles) -> weak reference to the tree.
+_DECORATED: dict = {}
+# Planar trees: children tuple -> weak reference to the tree.
+_PLANAR: dict = {}
+
+
+class _InternRef(weakref.ref):
+    """A weak reference to an interned tree that removes the tree's table
+    entry when the tree dies, unless the entry already names a newer tree
+    with the same parts."""
+
+    __slots__ = ("table", "key")
+
+
+def _forget(ref: _InternRef) -> None:
+    if ref.table.get(ref.key) is ref:
+        del ref.table[ref.key]
+
+
+def _intern(cls, table: dict, key: tuple):
+    """The live tree stored under ``key`` in ``table``, or else a new
+    ``cls`` entered there.  ``cls._fill`` checks the key and sets a new
+    tree's fields; a key it rejects enters nothing."""
+    ref = table.get(key)
+    t = ref() if ref is not None else None
+    if t is None:
+        t = object.__new__(cls)
+        t._fill(key)
+        ref = table[key] = _InternRef(t, _forget)
+        ref.table, ref.key = table, key
+    return t
+
+
+# ---------------------------------------------------------------------------
 # Tree values
 # ---------------------------------------------------------------------------
 
@@ -87,17 +130,19 @@ class Node:
 
     ``angles[k]`` decorates the angle between ``children[k]`` and
     ``children[k+1]``, so ``len(angles) == len(children) - 1``.  Instances
-    are immutable; hash is precomputed so trees can key memo tables and
-    linear combinations cheaply.
+    are immutable and hash-consed (see `_intern`), so equal trees are one
+    object and key memo tables and linear combinations by identity.
     """
 
-    __slots__ = ("label", "children", "angles", "_hash", "_key")
+    __slots__ = ("label", "children", "angles", "_key", "__weakref__")
 
     is_leaf = False
 
-    def __init__(self, label: int, children: Sequence["Tree"], angles: Sequence[int]):
-        children = tuple(children)
-        angles = tuple(angles)
+    def __new__(cls, label: int, children: Sequence["Tree"], angles: Sequence[int]):
+        return _intern(cls, _DECORATED, (label, tuple(children), tuple(angles)))
+
+    def _fill(self, key: tuple) -> None:
+        label, children, angles = key
         if len(children) < 2:
             raise DomainError(f"a node needs at least 2 children, got {len(children)}")
         if len(angles) != len(children) - 1:
@@ -107,7 +152,6 @@ class Node:
         self.label = label
         self.children = children
         self.angles = angles
-        self._hash = hash((label, children, angles))
         self._key = None
 
     def sort_key(self):
@@ -132,21 +176,6 @@ class Node:
             parts[0], parts[1] = -total, -m
             self._key = tuple(parts)
         return self._key
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Node):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.label == other.label
-            and self.angles == other.angles
-            and self.children == other.children
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return render_tree(self)
@@ -472,18 +501,10 @@ def count_trees(family: Family, n: int, m: int) -> int:
 # Unlabeled planar rooted trees
 # ---------------------------------------------------------------------------
 
-# The hash-consing table: children tuple -> weak reference to the tree.
-_PLANAR: dict = {}
-
-
 class PTree:
     """An unlabeled planar rooted tree node (>= 2 children, any of which
-    may be leaves).  The leaf is the shared `LEAF` singleton.
-
-    Planar trees are hash-consed: building a tree whose children tuple
-    matches a live tree returns that tree, so equal trees are one object
-    and compare and hash by identity.  The table holds its trees weakly,
-    so a tree leaves it when the last reference to it goes.
+    may be leaves).  The leaf is the shared `LEAF` singleton.  Planar
+    trees are hash-consed like decorated ones (see `_intern`).
     """
 
     __slots__ = ("children", "_key", "__weakref__")
@@ -491,19 +512,14 @@ class PTree:
     is_leaf = False
 
     def __new__(cls, children: Sequence["PlanarTree"]):
-        children = tuple(children)
-        ref = _PLANAR.get(children)
-        t = ref() if ref is not None else None
-        if t is None:
-            if len(children) < 2:
-                raise DomainError(
-                    f"a planar node needs at least 2 children, got {len(children)}")
-            t = object.__new__(cls)
-            t.children = children
-            t._key = None
-            ref = _PLANAR[children] = _PlanarRef(t, _forget)
-            ref.children = children
-        return t
+        return _intern(cls, _PLANAR, tuple(children))
+
+    def _fill(self, children: tuple) -> None:
+        if len(children) < 2:
+            raise DomainError(
+                f"a planar node needs at least 2 children, got {len(children)}")
+        self.children = children
+        self._key = None
 
     def sort_key(self):
         if self._key is None:
@@ -530,19 +546,6 @@ class PTree:
 
 
 PlanarTree = Union[Leaf, PTree]
-
-
-class _PlanarRef(weakref.ref):
-    """A weak reference to an interned planar tree that removes the
-    tree's table entry when the tree dies, unless the entry already
-    names a newer tree with the same children."""
-
-    __slots__ = ("children",)
-
-
-def _forget(ref: _PlanarRef, table: dict = _PLANAR) -> None:
-    if table.get(ref.children) is ref:
-        del table[ref.children]
 
 
 def planar_sort_key(t: PlanarTree):
@@ -621,18 +624,11 @@ def planar_trees(n: int, m: int) -> tuple:
     return _planar_by_size(n + 1, m)
 
 
-@lru_cache(maxsize=None)
 def binary_trees(n: int) -> tuple:
-    """Planar binary trees with n internal nodes (n + 1 leaves)."""
-    if n == 0:
-        return (LEAF,)
-    out = []
-    for left_n in range(0, n):
-        for left in binary_trees(left_n):
-            for right in binary_trees(n - 1 - left_n):
-                out.append(PTree((left, right)))
-    out.sort(key=planar_sort_key)
-    return tuple(out)
+    """Planar binary trees with n internal nodes (n + 1 leaves): a planar
+    tree with one leaf more than it has nodes is binary, since every node
+    has at least two children."""
+    return planar_trees(n, n)
 
 
 def is_binary(t: PlanarTree) -> bool:

@@ -49,7 +49,8 @@ from .paths import (
 from .scalars import LAMBDA
 from .trees import (
     FAMILIES, INF, LEAF, Family, Tree, bidegree, binary_trees, count_trees,
-    enumerate_trees, parse_tree, planar_trees,
+    enumerate_positive_root, enumerate_trees, enumerate_zero_root, parse_tree,
+    planar_trees,
 )
 
 __all__ = [
@@ -155,14 +156,6 @@ def _trees_upto(family: Family, total: int) -> list[Tree]:
         for m in range(0, total - n + 1):
             out.extend(enumerate_trees(family, n, m))
     return out
-
-
-def _positive_trees(family: Family, n: int, m: int) -> list[Tree]:
-    return [t for t in enumerate_trees(family, n, m) if t.label > 0]
-
-
-def _root_zero_trees(family: Family, n: int, m: int) -> list[Tree]:
-    return [t for t in enumerate_trees(family, n, m) if t.label == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +534,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, top + 1):
         for m in range(1, n + 1):
-            for t in _positive_trees(_FI2, n, m):
+            for t in enumerate_positive_root(_FI2, n, m):
                 if restore_angles(strip_angles(t)) != t:
                     bad.append(str(t))
     rec.all_equal(f"strip/restore is the identity on raised trees up to n={top}", bad)
@@ -549,7 +542,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, top + 1):
         for m in range(1, n + 1):
-            trees = _positive_trees(_FI2, n, m)
+            trees = enumerate_positive_root(_FI2, n, m)
             paths = plus_paths(n, m)
             images = set()
             for t in trees:
@@ -584,7 +577,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, sq + 1):
         for m in range(0, n):
-            trees = _root_zero_trees(_FI2, n, m)
+            trees = enumerate_zero_root(_FI2, n, m)
             images = set()
             for t in trees:
                 q = encode_zero(t)
@@ -600,11 +593,11 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, top + 1):
         for m in range(1, n + 1):
-            plus_im = {encode_positive(t) for t in _positive_trees(_F22, n, m)}
+            plus_im = {encode_positive(t) for t in enumerate_positive_root(_F22, n, m)}
             if plus_im != set(restricted_plus_paths(n, m)):
                 bad.append(("plus", n, m))
         for m in range(0, n):
-            zero_im = {encode_zero(t) for t in _root_zero_trees(_F22, n, m)}
+            zero_im = {encode_zero(t) for t in enumerate_zero_root(_F22, n, m)}
             if zero_im != set(restricted_zero_paths(n, m)):
                 bad.append(("zero", n, m))
     rec.all_equal(
@@ -615,7 +608,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, top + 1):
         raised = [
-            t for m in range(1, n + 1) for t in _positive_trees(_F22, n, m)
+            t for m in range(1, n + 1) for t in enumerate_positive_root(_F22, n, m)
         ]
         images = set()
         for t in raised:
@@ -677,7 +670,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
         n = top + 1
         pool = []
         for m in (1, 2, 3):
-            pool.extend(_positive_trees(_FI2, n, m))
+            pool.extend(enumerate_positive_root(_FI2, n, m))
         bad = []
         for t in rng.sample(pool, min(spots, len(pool))):
             if decode_positive(encode_positive(t)) != t:
@@ -952,10 +945,8 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
     )
 
     bad = []
-    for x in tri_pool:
-        ex = embed_trialgebra(x)
-        for y in tri_pool:
-            ey = embed_trialgebra(y)
+    for x, ex in zip(tri_pool, images):
+        for y, ey in zip(tri_pool, images):
             for op in ("left", "right", "dot"):
                 lhs = embed_trialgebra(dend_op("trialgebra", op, x, y))
                 rhs = rb_dendriform(_FI2, op, ex, ey)
@@ -975,10 +966,8 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
     )
 
     bad = []
-    for x in bin_embed:
-        ex = embed_dialgebra(x)
-        for y in bin_embed:
-            ey = embed_dialgebra(y)
+    for x, ex in zip(bin_embed, imgs):
+        for y, ey in zip(bin_embed, imgs):
             for op in ("left", "right"):
                 lhs = embed_dialgebra(dend_op("dialgebra", op, x, y))
                 rhs = rb_dendriform(_F22, op, ex, ey).eval_weight(0)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import baxtertrees
 from baxtertrees import trees, verify
-from baxtertrees.dendriform import dend_op
+from baxtertrees.baxter_core import circle, graft
+from baxtertrees.dendriform import dend_op, embed_dialgebra, embed_trialgebra
 from baxtertrees.errors import DomainError, ParseError
 from baxtertrees.paths import _strip, path_to_tree, restore_angles, tree_to_path
 from baxtertrees.trees import (
@@ -283,6 +284,44 @@ def test_rejected_planar_node_leaves_nothing_in_the_table():
     assert len(trees._PLANAR) == size
 
 
+# -- hash-consed decorated trees ---------------------------------------------
+
+def test_decorated_trees_compare_by_identity():
+    assert Node.__hash__ is object.__hash__
+    assert Node.__eq__ is object.__eq__
+
+
+def test_equal_decorated_trees_are_one_object():
+    for family in FAMILIES:
+        for n in range(0, 6):
+            for m in range(0, 6 - n):
+                for t in enumerate_trees(family, n, m):
+                    assert parse_tree(render_tree(t)) is t
+                    assert Node(t.label, list(t.children), list(t.angles)) is t
+    a, b = parse_tree("1(. 2 .)"), parse_tree("1(. 3 .)")
+    product = circle(FI2, a, b)
+    assert product.terms
+    for t in product.terms:
+        assert parse_tree(render_tree(t)) is t
+    assert graft(FII, [a, LEAF, LEAF], [2, 1]) is parse_tree("0(1(. 2 .) 3 .)")
+    for pt in planar_trees(3, 2):
+        (img,) = embed_trialgebra(pt).terms
+        assert parse_tree(render_tree(img)) is img
+    for bt in binary_trees(3):
+        (img,) = embed_dialgebra(bt).terms
+        assert parse_tree(render_tree(img)) is img
+
+
+def test_rejected_decorated_node_leaves_nothing_in_the_table():
+    size = len(trees._DECORATED)
+    for label, kids, angles in ((1, (), ()), (1, (LEAF,), ()),
+                                (1, (LEAF, LEAF), ()), (0, (LEAF, LEAF), (1, 1))):
+        with pytest.raises(DomainError):
+            Node(label, kids, angles)
+        assert (label, kids, angles) not in trees._DECORATED
+    assert len(trees._DECORATED) == size
+
+
 def package_memos():
     for info in pkgutil.iter_modules(baxtertrees.__path__):
         module = importlib.import_module(f"baxtertrees.{info.name}")
@@ -306,3 +345,14 @@ def test_planar_table_frees_the_trees_of_a_suite():
     after = [ref() for ref in trees._PLANAR.values()]
     assert None not in after
     assert {id(pt) for pt in after} <= {id(pt) for pt in before}
+
+
+def test_decorated_table_frees_the_trees_of_a_suite():
+    clear_memos()
+    before = [ref() for ref in trees._DECORATED.values()]
+    assert verify.run_suite("identities", "quick").ok
+    assert len(trees._DECORATED) > len(before)
+    clear_memos()
+    after = [ref() for ref in trees._DECORATED.values()]
+    assert None not in after
+    assert {id(t) for t in after} <= {id(t) for t in before}
