@@ -176,13 +176,7 @@ class LinComb:
         parts: list[str] = []
         for elem, coeff in self.items():
             sign = "-" if coeff.lead_coeff < 0 else "+"
-            mag = -coeff if sign == "-" else coeff
-            if mag == ONE:
-                body = str(elem)
-            elif mag.is_single_term:
-                body = f"{mag}*{elem}"
-            else:
-                body = f"({mag})*{elem}"
+            body = term_text(elem, -coeff if sign == "-" else coeff)
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:
@@ -191,6 +185,17 @@ class LinComb:
 
     def __repr__(self):
         return f"<LinComb {self}>"
+
+
+def term_text(elem, coeff: LambdaPoly) -> str:
+    """One term as written in a combination: a unit coefficient is left
+    out, a single-term one joins with ``*`` and a longer or negative one
+    is parenthesised."""
+    if coeff == ONE:
+        return str(elem)
+    if coeff.is_single_term and coeff.lead_coeff > 0:
+        return f"{coeff}*{elem}"
+    return f"({coeff})*{elem}"
 
 
 def _wrap(terms: dict) -> LinComb:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .baxter_core import (
     LinComb, beta_lc, circle_lc, decompose, morphism_lc, recompose, star_lc,
-    tree_lincomb_parser,
+    term_text, tree_lincomb_parser,
 )
 from .counting import MAX_ORDER, dim_formula, series_coeffs
 from .dendriform import dend_op, embed_dialgebra, embed_trialgebra, rb_dendriform
@@ -36,7 +36,6 @@ from .paths import (
     parse_path, render_path, rotate_from_motzkin, rotate_to_motzkin,
     schroder_params, to_colored_motzkin, to_plus_class, to_zero_class,
 )
-from .scalars import ONE
 from .trees import (
     Family, enumerate_trees, parse_family, parse_planar, parse_tree, validate,
 )
@@ -82,31 +81,36 @@ def _emit(lines: Sequence[tuple[str, str]], fmt: str) -> None:
             print(value)
 
 
-def _term_text(elem, coeff) -> str:
-    if coeff == ONE:
-        return str(elem)
-    if coeff.is_single_term and coeff.lead_coeff > 0:
-        return f"{coeff}*{elem}"
-    return f"({coeff})*{elem}"
-
-
 def _emit_lincomb(v: LinComb, fmt: str) -> None:
     if fmt == "records":
         # Every line is formatted before any is printed, so a term too
         # long to print leaves no partial output behind its error.
-        for line in [f"term\t{_term_text(e, c)}" for e, c in v.items()]:
+        for line in [f"term\t{term_text(e, c)}" for e, c in v.items()]:
             print(line)
     else:
         print(v)
 
 
+def _check_tree(family: Family, t) -> None:
+    problems = validate(family, t)
+    if problems:
+        raise DomainError(f"{t}: " + "; ".join(problems))
+
+
 def _checked_tree_comb(family: Family, text: str) -> LinComb:
     v = tree_lincomb_parser(text)
     for t in v.support():
-        problems = validate(family, t)
-        if problems:
-            raise DomainError(f"{t}: " + "; ".join(problems))
+        _check_tree(family, t)
     return v
+
+
+def _diagonal_path(text: str):
+    """A diagonal path and whether it lies in the plus class."""
+    p = parse_path(text)
+    report = classify_path(p, "schroder")
+    if not report["valid"]:
+        raise DomainError(f"not a diagonal path: {report['reason']}")
+    return p, report["plus_class"]
 
 
 def _maybe_eval(v: LinComb, weight) -> LinComb:
@@ -195,32 +199,23 @@ def _cmd_tree_to_path(args) -> int:
     if t.is_leaf:
         raise DomainError("the bare leaf encodes no path")
     p = encode_zero(t) if t.label == 0 else encode_positive(t)
-    n, m = schroder_params(p)
+    _emit([("path", render_path(p))], args.format)
     if args.format == "records":
-        print(f"path\t{render_path(p)}")
-        print(f"n\t{n}")
-        print(f"m\t{m}")
-    else:
-        print(render_path(p))
+        n, m = schroder_params(p)
+        print(f"n\t{n}\nm\t{m}")
     return EXIT_OK
 
 
 def _cmd_path_to_tree(args) -> int:
-    p = parse_path(args.path)
-    report = classify_path(p, "schroder")
-    if not report["valid"]:
-        raise DomainError(f"not a diagonal path: {report['reason']}")
-    t = decode_positive(p) if report["plus_class"] else decode_zero(p)
+    p, plus = _diagonal_path(args.path)
+    t = decode_positive(p) if plus else decode_zero(p)
     _emit([("tree", str(t))], args.format)
     return EXIT_OK
 
 
 def _cmd_t_map(args) -> int:
-    p = parse_path(args.path)
-    report = classify_path(p, "schroder")
-    if not report["valid"]:
-        raise DomainError(f"not a diagonal path: {report['reason']}")
-    q = to_zero_class(p) if report["plus_class"] else to_plus_class(p)
+    p, plus = _diagonal_path(args.path)
+    q = to_zero_class(p) if plus else to_plus_class(p)
     _emit([("path", render_path(q))], args.format)
     return EXIT_OK
 
@@ -252,15 +247,11 @@ def _cmd_classify(args) -> int:
     p = parse_path(args.path)
     kind = args.kind
     if kind is None:
-        kind = "motzkin" if any(s.startswith("U") or s in ("Ur", "Ub", "Hr", "Hb")
+        kind = "motzkin" if any(s.startswith("U") or s in ("Hr", "Hb")
                                 for s in p) else "schroder"
-    report = classify_path(p, kind)
-    lines = [(k, str(v)) for k, v in report.items()]
-    if args.format == "records":
-        _emit(lines, "records")
-    else:
-        for k, v in lines:
-            print(f"{k}: {v}")
+    sep = "\t" if args.format == "records" else ": "
+    for k, v in classify_path(p, kind).items():
+        print(f"{k}{sep}{v}")
     return EXIT_OK
 
 
@@ -276,9 +267,7 @@ def _cmd_morphism(args) -> int:
 def _cmd_decompose_check(args) -> int:
     fam = args.family
     t = parse_tree(args.tree)
-    problems = validate(fam, t)
-    if problems:
-        raise DomainError(f"{t}: " + "; ".join(problems))
+    _check_tree(fam, t)
     power, pieces, angles = decompose(t)
     rebuilt = recompose(fam, power, pieces, angles)
     ok = rebuilt == LinComb.of(t)
@@ -312,6 +301,8 @@ def _cmd_word(args) -> int:
             raise DomainError("concat needs two words")
         w = concat_words(parse_word(args.word, variant),
                          parse_word(args.second, variant))
+    elif args.second is not None:
+        raise DomainError(f"{args.action} takes one word")
     elif args.action == "normalize":
         w = normalize_word(parse_word(args.word, variant))
     elif args.action == "quotient":
@@ -321,8 +312,7 @@ def _cmd_word(args) -> int:
     else:  # degree
         n, m = word_bidegree(parse_word(args.word, variant))
         if args.format == "records":
-            print(f"n\t{n}")
-            print(f"m\t{m}")
+            print(f"n\t{n}\nm\t{m}")
         else:
             print(f"{n} {m}")
         return EXIT_OK
@@ -377,27 +367,93 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly
+# Parser assembly: one entry per subcommand, arguments in help order
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, family=False, weight=False, fmt=True) -> None:
-    if family:
-        sub.add_argument(
-            "--family", type=_family, required=True,
-            help="algebra family as i,j with i,j in {2, inf}",
-        )
-    if weight:
-        sub.add_argument(
-            "--lambda", dest="weight", type=_weight, default=None,
-            metavar="WEIGHT",
-            help="'sym' (default) keeps the weight symbolic; "
-                 "an integer evaluates it",
-        )
-    if fmt:
-        sub.add_argument(
-            "--format", choices=("plain", "records"), default="plain",
-            help="plain parseable output, or key<TAB>value records",
-        )
+_FAMILY = ("--family", dict(
+    type=_family, required=True,
+    help="algebra family as i,j with i,j in {2, inf}",
+))
+_WEIGHT = ("--lambda", dict(
+    dest="weight", type=_weight, default=None, metavar="WEIGHT",
+    help="'sym' (default) keeps the weight symbolic; an integer evaluates it",
+))
+_FORMAT = ("--format", dict(
+    choices=("plain", "records"), default="plain",
+    help="plain parseable output, or key<TAB>value records",
+))
+_COMB = dict(help="tree combination")
+
+_COMMANDS = (
+    ("product", "multiply two combinations", _cmd_product,
+     [("left", _COMB), ("right", _COMB), _FAMILY, _WEIGHT, _FORMAT]),
+    ("star", "derived double product", _cmd_product,
+     [("left", _COMB), ("right", _COMB), _FAMILY, _WEIGHT, _FORMAT]),
+    ("beta", "apply the algebra operator", _cmd_beta,
+     [("tree", _COMB), _FAMILY, _WEIGHT, _FORMAT]),
+    ("enumerate", "list basis trees of one bidegree", _cmd_enumerate,
+     [("n", dict(type=int, help="angle degree")),
+      ("m", dict(type=int, help="node-label degree")), _FAMILY, _FORMAT]),
+    ("dims", "dimension table", _cmd_dims,
+     [("--max-n", dict(type=int, default=6)),
+      ("--max-m", dict(type=int, default=6)), _FAMILY, _FORMAT]),
+    ("series", "generating-function coefficients", _cmd_series,
+     [("--max-n", dict(type=int, default=8)),
+      ("--max-m", dict(type=int, default=8)), _FAMILY, _FORMAT]),
+    ("tree-to-path", "encode a tree as a diagonal path", _cmd_tree_to_path,
+     [("tree", {}),
+      ("--via", dict(choices=("strip",), default="strip",
+                     help="conversion route (angle stripping)")), _FORMAT]),
+    ("path-to-tree", "decode a diagonal path", _cmd_path_to_tree,
+     [("path", {}), _FORMAT]),
+    ("t-map", "trade between the plus and zero diagonal classes", _cmd_t_map,
+     [("path", {}), _FORMAT]),
+    ("to-motzkin", "two-colored Motzkin encoding of a forced-label tree",
+     _cmd_to_motzkin, [("tree", {}), _FORMAT]),
+    ("rotate", "rotate between path alphabets", _cmd_rotate,
+     [("path", {}),
+      ("--to", dict(choices=("motzkin", "schroder"), default=None)), _FORMAT]),
+    ("classify", "full membership report for a path", _cmd_classify,
+     [("path", {}),
+      ("--kind", dict(choices=("schroder", "motzkin"), default=None)),
+      _FORMAT]),
+    ("morphism", "project onto a smaller family", _cmd_morphism,
+     [("tree", dict(help="tree combination in the source family")),
+      ("--target", dict(type=_family, required=True,
+                        help="target family as i,j")),
+      _FAMILY, _WEIGHT, _FORMAT]),
+    ("decompose-check", "canonical factorization plus recomposition",
+     _cmd_decompose_check, [("tree", {}), _FAMILY, _FORMAT]),
+    ("pi", "word image of a tree combination", _cmd_pi,
+     [("tree", _COMB), _FAMILY, _WEIGHT, _FORMAT]),
+    ("word", "operate on monomial words", _cmd_word,
+     [("action", dict(choices=("normalize", "quotient", "concat", "beta",
+                                "degree"))),
+      ("word", {}),
+      ("second", dict(nargs="?", default=None)),
+      ("--variant", dict(choices=("infinity", "two"), default="infinity",
+                         help="free or collapsed word algebra")),
+      _FORMAT]),
+    ("dendriform", "split products on planar trees or induced ones",
+     _cmd_dendriform,
+     [("left", {}), ("right", {}),
+      ("--op", dict(choices=("left", "right", "dot", "star"), required=True)),
+      ("--variant", dict(choices=("trialgebra", "dialgebra"), default=None,
+                         help="free splitting on planar trees")),
+      ("--family", dict(type=_family, default=None,
+                        help="instead: induced splitting on this tree algebra")),
+      ("--lambda", dict(dest="weight", type=_weight, default=None,
+                        metavar="WEIGHT")),
+      ("--format", dict(choices=("plain", "records"), default="plain"))]),
+    ("embed", "embed a free dendriform element", _cmd_embed,
+     [("tree", dict(help="planar tree, e.g. ((..) .)")),
+      ("--variant", dict(choices=("trialgebra", "dialgebra"),
+                         default="trialgebra")), _FORMAT]),
+    ("verify", "run the named property suites", _cmd_verify,
+     [("--suite", dict(choices=("all",) + tuple(SUITES), default="all")),
+      ("--budget", dict(choices=BUDGETS, default="desk")),
+      ("--seed", dict(type=int, default=DEFAULT_SEED)), _FORMAT]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,143 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "on decorated trees, with their path combinatorics.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_ in (("product", "multiply two combinations"),
-                        ("star", "derived double product")):
+    for name, help_, func, arguments in _COMMANDS:
         sp = subs.add_parser(name, help=help_)
-        sp.add_argument("left", help="tree combination")
-        sp.add_argument("right", help="tree combination")
-        _add_common(sp, family=True, weight=True)
-        sp.set_defaults(func=_cmd_product)
-
-    sp = subs.add_parser("beta", help="apply the algebra operator")
-    sp.add_argument("tree", help="tree combination")
-    _add_common(sp, family=True, weight=True)
-    sp.set_defaults(func=_cmd_beta)
-
-    sp = subs.add_parser("enumerate", help="list basis trees of one bidegree")
-    sp.add_argument("n", type=int, help="angle degree")
-    sp.add_argument("m", type=int, help="node-label degree")
-    _add_common(sp, family=True)
-    sp.set_defaults(func=_cmd_enumerate)
-
-    sp = subs.add_parser("dims", help="dimension table")
-    sp.add_argument("--max-n", type=int, default=6)
-    sp.add_argument("--max-m", type=int, default=6)
-    _add_common(sp, family=True)
-    sp.set_defaults(func=_cmd_dims)
-
-    sp = subs.add_parser("series", help="generating-function coefficients")
-    sp.add_argument("--max-n", type=int, default=8)
-    sp.add_argument("--max-m", type=int, default=8)
-    _add_common(sp, family=True)
-    sp.set_defaults(func=_cmd_series)
-
-    sp = subs.add_parser("tree-to-path", help="encode a tree as a diagonal path")
-    sp.add_argument("tree")
-    sp.add_argument(
-        "--via", choices=("strip",), default="strip",
-        help="conversion route (angle stripping)",
-    )
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_tree_to_path)
-
-    sp = subs.add_parser("path-to-tree", help="decode a diagonal path")
-    sp.add_argument("path")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_path_to_tree)
-
-    sp = subs.add_parser(
-        "t-map", help="trade between the plus and zero diagonal classes"
-    )
-    sp.add_argument("path")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_t_map)
-
-    sp = subs.add_parser(
-        "to-motzkin", help="two-colored Motzkin encoding of a forced-label tree"
-    )
-    sp.add_argument("tree")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_to_motzkin)
-
-    sp = subs.add_parser("rotate", help="rotate between path alphabets")
-    sp.add_argument("path")
-    sp.add_argument("--to", choices=("motzkin", "schroder"), default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_rotate)
-
-    sp = subs.add_parser("classify", help="full membership report for a path")
-    sp.add_argument("path")
-    sp.add_argument("--kind", choices=("schroder", "motzkin"), default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = subs.add_parser("morphism", help="project onto a smaller family")
-    sp.add_argument("tree", help="tree combination in the source family")
-    sp.add_argument(
-        "--target", type=_family, required=True,
-        help="target family as i,j",
-    )
-    _add_common(sp, family=True, weight=True)
-    sp.set_defaults(func=_cmd_morphism)
-
-    sp = subs.add_parser(
-        "decompose-check", help="canonical factorization plus recomposition"
-    )
-    sp.add_argument("tree")
-    _add_common(sp, family=True)
-    sp.set_defaults(func=_cmd_decompose_check)
-
-    sp = subs.add_parser("pi", help="word image of a tree combination")
-    sp.add_argument("tree", help="tree combination")
-    _add_common(sp, family=True, weight=True)
-    sp.set_defaults(func=_cmd_pi)
-
-    sp = subs.add_parser("word", help="operate on monomial words")
-    sp.add_argument(
-        "action", choices=("normalize", "quotient", "concat", "beta", "degree")
-    )
-    sp.add_argument("word")
-    sp.add_argument("second", nargs="?", default=None)
-    sp.add_argument(
-        "--variant", choices=("infinity", "two"), default="infinity",
-        help="free or collapsed word algebra",
-    )
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_word)
-
-    sp = subs.add_parser(
-        "dendriform", help="split products on planar trees or induced ones"
-    )
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("--op", choices=("left", "right", "dot", "star"),
-                    required=True)
-    sp.add_argument("--variant", choices=("trialgebra", "dialgebra"),
-                    default=None, help="free splitting on planar trees")
-    sp.add_argument("--family", type=_family, default=None,
-                    help="instead: induced splitting on this tree algebra")
-    sp.add_argument("--lambda", dest="weight", type=_weight, default=None,
-                    metavar="WEIGHT")
-    sp.add_argument("--format", choices=("plain", "records"), default="plain")
-    sp.set_defaults(func=_cmd_dendriform)
-
-    sp = subs.add_parser("embed", help="embed a free dendriform element")
-    sp.add_argument("tree", help="planar tree, e.g. ((..) .)")
-    sp.add_argument("--variant", choices=("trialgebra", "dialgebra"),
-                    default="trialgebra")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_embed)
-
-    sp = subs.add_parser("verify", help="run the named property suites")
-    sp.add_argument("--suite", choices=("all",) + tuple(SUITES),
-                    default="all")
-    sp.add_argument("--budget", choices=BUDGETS, default="desk")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_verify)
-
+        for flag, kwargs in arguments:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 

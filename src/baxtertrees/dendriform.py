@@ -160,32 +160,28 @@ def rb_dendriform(
 # Embeddings into the tree algebras
 # ---------------------------------------------------------------------------
 
+def _embed_tree(pt: PlanarTree) -> Tree:
+    if pt.is_leaf:
+        raise DomainError("the bare leaf has no decorated image")
+    return lower_root(restore_angles(pt))
+
+
+def _embed_binary_tree(pt: PlanarTree) -> Tree:
+    if not is_binary(pt):  # true of the leaf, which _embed_tree rejects
+        raise DomainError("dialgebra elements must be binary trees")
+    return _embed_tree(pt)
+
+
 def embed_trialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
     """Send a planar tree to its root-0 decorated counterpart: collapse
     interior-leaf runs into angle labels, then drop the root label."""
-    xc = _as_comb(x)
-
-    def one(pt: PlanarTree) -> Tree:
-        if pt.is_leaf:
-            raise DomainError("the bare leaf has no decorated image")
-        return lower_root(restore_angles(pt))
-
-    return xc.map(one)
+    return _as_comb(x).map(_embed_tree)
 
 
 def embed_dialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
     """Send a binary tree to itself with root label 0, every other
     internal label 1, and all angle labels 1."""
-    xc = _as_comb(x)
-
-    def one(pt: PlanarTree) -> Tree:
-        if pt.is_leaf:
-            raise DomainError("the bare leaf has no decorated image")
-        if not is_binary(pt):
-            raise DomainError("dialgebra elements must be binary trees")
-        return lower_root(restore_angles(pt))
-
-    return xc.map(one)
+    return _as_comb(x).map(_embed_binary_tree)
 
 
 def dt_dim(n: int, m: int) -> int:

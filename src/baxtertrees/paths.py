@@ -224,7 +224,7 @@ def classify_path(steps: Sequence[str], kind: str) -> dict:
             report.update(valid=False, reason="does not end on the diagonal",
                           index=len(steps) - 1 if steps else 0)
             return report
-        n, m = schroder_params(steps)
+        n, m = x, steps.count("H")
         touching = has_diagonal_double(steps)
         restricted = is_restricted_schroder(steps)
         report.update(

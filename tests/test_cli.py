@@ -136,6 +136,14 @@ def test_classify_rows(capsys):
     assert rec["valid"] == "False"
 
 
+def test_classify_infers_motzkin_from_colored_steps(capsys):
+    for path in ("Hr Hb", "U D", "Ub Hr D"):
+        _, out, _ = run(capsys, "classify", path, "--format", "records")
+        assert out.startswith("kind\tmotzkin\n")
+    _, out, _ = run(capsys, "classify", "H D V", "--format", "records")
+    assert out.startswith("kind\tschroder\n")
+
+
 def test_rotate_directions(capsys):
     _, out, _ = run(capsys, "rotate", "HDHVV")
     assert out.strip() == "UHUDD"
@@ -206,6 +214,15 @@ def test_word_actions(capsys):
     _, out, _ = run(capsys, "word", "degree", "x1^2 x0 x1", "--format", "records")
     rec = dict(l.split("\t") for l in out.splitlines() if l)
     assert (rec["n"], rec["m"]) == ("4", "2")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["word", "normalize", "x1", "x0"], "normalize takes one word"),
+    (["word", "degree", "x1", "x0^2"], "degree takes one word"),
+    (["word", "concat", "x1"], "concat needs two words"),
+])
+def test_word_operand_count_is_a_domain_error(capsys, argv, err):
+    assert run(capsys, *argv) == (EXIT_DOMAIN, "", f"domain error: {err}\n")
 
 
 def test_dendriform_free_and_induced(capsys):
