@@ -6,7 +6,8 @@ basis trees (coefficients are integer polynomials in the weight):
 * ``graft`` / ``degraft`` — assemble a root-0 tree from an alternating
   sequence of subtrees and angle labels, and take it apart again;
 * ``beta`` — the distinguished linear operator: it raises the root label
-  (at flag j = 2 the raise folds into a weight power instead);
+  (at flag j = 2 the raise folds into a weight power instead), so it
+  sends each basis tree to one tree times a coefficient;
 * ``circle`` — the associative multiplication, with the bare leaf as
   unit; it concatenates at the seam between the two trees, resolving the
   meeting pieces through ``star``;
@@ -14,6 +15,11 @@ basis trees (coefficients are integer polynomials in the weight):
   ``u * v = beta(u) o v + u o beta(v) + weight * (u o v)``,
   which is exactly what makes ``beta`` satisfy
   ``beta(u) o beta(v) = beta(u * v)``.
+
+Inside ``circle`` and ``star`` the operator is applied term by term, as
+one tree and one coefficient (``_beta_term``), and each product term is
+merged into its result through ``addmul``; no intermediate combination
+is built.
 
 The two recursions terminate together: each pass through the seam
 strictly shrinks the total of node and angle degrees, because taking an
@@ -343,9 +349,7 @@ def graft(family: Family, subtrees: Sequence[Tree], angles: Sequence[int]) -> Tr
             f"graft needs one angle between consecutive subtrees: "
             f"{len(subtrees)} subtrees, {len(angles)} angles"
         )
-    for sub in subtrees:
-        if not sub.is_leaf and sub.label == 0:
-            raise DomainError("graft subtrees must be leaves or have positive root label")
+    _check_pieces(subtrees)
     if len(subtrees) == 1:
         return subtrees[0]
     k = 1
@@ -360,6 +364,12 @@ def graft(family: Family, subtrees: Sequence[Tree], angles: Sequence[int]) -> Tr
     if len(subtrees) == 1:
         return subtrees[0]
     return Node(0, subtrees, angles)
+
+
+def _check_pieces(pieces: Sequence[Tree]) -> None:
+    for sub in pieces:
+        if not sub.is_leaf and sub.label == 0:
+            raise DomainError("graft subtrees must be leaves or have positive root label")
 
 
 def degraft(t: Tree) -> tuple[tuple[Tree, ...], tuple[int, ...]]:
@@ -393,6 +403,15 @@ def lower_root(t: Tree) -> Tree:
     return with_root_label(t, t.label - 1)
 
 
+def _beta_term(family: Family, t: Tree) -> tuple[Tree, LambdaPoly]:
+    """The operator on one basis tree, as its image tree and coefficient."""
+    if t.is_leaf:
+        return t, ONE
+    if family.j != 2:
+        return with_root_label(t, t.label + 1), ONE
+    return with_root_label(t, 1), (-LAMBDA) ** t.label
+
+
 def beta(family: Family, t: Tree) -> LinComb:
     """The distinguished operator on one basis tree.
 
@@ -401,16 +420,15 @@ def beta(family: Family, t: Tree) -> LinComb:
     factor of minus the weight, which is what makes the operator square
     to minus the weight times itself.
     """
-    if t.is_leaf:
-        return LinComb.of(t)
-    if family.j != 2:
-        return LinComb.of(raise_root(t))
-    coeff = (-LAMBDA) ** t.label
-    return LinComb.of(with_root_label(t, 1), coeff)
+    return LinComb.of(*_beta_term(family, t))
 
 
 def beta_lc(family: Family, u: LinComb) -> LinComb:
-    return u.apply(lambda t: beta(family, t))
+    out: dict = {}
+    for t, c in u.terms.items():
+        x, k = _beta_term(family, t)
+        addmul(out, {x: c}, k)
+    return _wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -423,32 +441,56 @@ def circle(family: Family, t: Tree, s: Tree) -> LinComb:
 
     Both factors split into outermost pieces; the last piece of the left
     factor and the first piece of the right factor have their root labels
-    lowered, meet through `star`, and the operator is applied to the
-    result, which is grafted back between the remaining pieces.
+    lowered and meet through `star`.  The operator is applied to each
+    term of that double product in turn, and the image is grafted back
+    between the remaining pieces.
+
+    The seam invariant: the remaining pieces come from `degraft` of basis
+    trees, so only the outermost of them may be leaves, and an image of
+    the operator that is not the leaf has a positive root.  The one
+    interior leaf that can arise is therefore the image itself, when the
+    two meeting pieces are both leaves; only then does `graft` have
+    angles to merge.  Every other image is placed under a root-0 node
+    directly, after `graft`'s check of the other pieces, made once.
     """
     t_pieces, t_angles = degraft(t)
     s_pieces, s_angles = degraft(s)
     left = lower_root(t_pieces[-1])
     right = lower_root(s_pieces[0])
-    middle = beta_lc(family, star(family, left, right))
+    middle = star(family, left, right).terms
     prefix = t_pieces[:-1]
     suffix = s_pieces[1:]
     angles = t_angles + s_angles
-    return middle.map(lambda mid: graft(family, prefix + (mid,) + suffix, angles))
+    others = prefix + suffix
+    if middle and others:
+        _check_pieces(others)
+    out: dict = {}
+    for x, c in middle.items():
+        mid, k = _beta_term(family, x)
+        if mid.is_leaf:
+            mid = graft(family, prefix + (mid,) + suffix, angles)
+        elif others:
+            mid = Node(0, prefix + (mid,) + suffix, angles)
+        addmul(out, {mid: c}, k)
+    return _wrap(out)
 
 
 @lru_cache(maxsize=None)
 def star(family: Family, u: Tree, v: Tree) -> LinComb:
-    """The double product on basis trees; the leaf is its unit."""
+    """The double product on basis trees; the leaf is its unit.
+
+    The operator is applied to each factor as one tree and one
+    coefficient, and the three products are merged into one result.
+    """
     if u.is_leaf:
         return LinComb.of(v)
     if v.is_leaf:
         return LinComb.of(u)
     out: dict = {}
-    for x, c in beta(family, u).terms.items():
-        addmul(out, circle(family, x, v).terms, c)
-    for y, c in beta(family, v).terms.items():
-        addmul(out, circle(family, u, y).terms, c)
+    x, c = _beta_term(family, u)
+    addmul(out, circle(family, x, v).terms, c)
+    y, c = _beta_term(family, v)
+    addmul(out, circle(family, u, y).terms, c)
     addmul(out, circle(family, u, v).terms, LAMBDA)
     return _wrap(out)
 

@@ -36,6 +36,7 @@ from baxtertrees.trees import (
     LEAF,
     Family,
     INF,
+    Node,
     bidegree,
     enumerate_trees,
     is_binary,
@@ -416,3 +417,80 @@ def test_map_adds_colliding_images_and_drops_a_zero_sum():
     assert LinComb([(a, LAMBDA), (b, ONE)]).map(merge).terms == {c: LAMBDA + ONE}
     assert LinComb([(a, ONE), (b, -ONE)]).map(merge).is_zero
     assert LinComb().map(merge).is_zero
+
+
+# -- the operator inside the products ---------------------------------------
+
+def trees_up_to(family, total):
+    """The basis trees with node degree plus angle degree at most ``total``."""
+    return [x for n in range(1, total + 1) for m in range(total + 1 - n)
+            for x in enumerate_trees(family, n, m)]
+
+
+def reference_beta(family, x):
+    """The operator as a one-term combination, written out anew."""
+    if x.is_leaf:
+        return LinComb.of(x)
+    if family.j == 2:
+        return LinComb.of(with_root_label(x, 1), (-LAMBDA) ** x.label)
+    return LinComb.of(with_root_label(x, x.label + 1))
+
+
+def reference_circle(family, a, b):
+    """The multiplication as a composition of whole combinations: the
+    operator applied to the double product of the meeting pieces, then
+    every term grafted back between the remaining pieces."""
+    a_pieces, a_angles = degraft(a)
+    b_pieces, b_angles = degraft(b)
+    meet = star(family, lower_root(a_pieces[-1]), lower_root(b_pieces[0]))
+    middle = meet.apply(lambda x: reference_beta(family, x))
+    prefix, suffix = a_pieces[:-1], b_pieces[1:]
+    return middle.map(
+        lambda mid: graft(family, prefix + (mid,) + suffix, a_angles + b_angles))
+
+
+def test_beta_matches_the_reference_operator():
+    for family in FAMILIES:
+        pool = [LEAF] + trees_up_to(family, 5)
+        for x in pool + [raise_root(x) for x in pool]:
+            assert beta(family, x) == reference_beta(family, x), (family, x)
+        u = LinComb([(x, LambdaPoly((k % 3 - 1, 1))) for k, x in enumerate(pool)])
+        assert beta_lc(family, u) == u.apply(lambda x: reference_beta(family, x))
+
+
+def test_circle_matches_the_composition_of_operator_and_graft():
+    leaf_middles = 0
+    for family in FAMILIES:
+        pool = [LEAF] + trees_up_to(family, 5)
+        for a, b in itertools.product(pool, repeat=2):
+            assert circle(family, a, b) == reference_circle(family, a, b), (family, a, b)
+            leaf_middles += degraft(a)[0][-1].is_leaf and degraft(b)[0][0].is_leaf
+    assert leaf_middles > 100  # generator o generator among them
+
+
+def test_star_matches_the_double_product_of_the_operator():
+    for family in FAMILIES:
+        pool = trees_up_to(family, 5)
+        for a, b in itertools.product(pool, repeat=2):
+            u, v = LinComb.of(a), LinComb.of(b)
+            want = (circle_lc(family, beta(family, a), v)
+                    + circle_lc(family, u, beta(family, b))
+                    + circle(family, a, b).scale(LAMBDA))
+            assert star(family, a, b) == want, (family, a, b)
+
+
+def test_products_reject_a_root_zero_piece_with_grafts_message():
+    message = "graft subtrees must be leaves or have positive root label"
+    zero = Node(0, (LEAF, LEAF), (1,))  # root 0 where only leaves or positive roots belong
+    x = t("1(. 1 .)")
+    cases = [
+        (Node(0, (zero, LEAF), (1,)), generator(FII)),  # the meeting pieces are leaves
+        (Node(0, (zero, x), (2,)), x),                   # the raised middle is a node
+        (x, Node(0, (x, zero), (1,))),                   # the piece follows the seam
+    ]
+    for family in (FII, FI2):
+        for a, b in cases:
+            with pytest.raises(DomainError, match=message):
+                circle(family, a, b)
+            with pytest.raises(DomainError, match=message):
+                circle_lc(family, LinComb.of(a), LinComb.of(b))

@@ -1,0 +1,42 @@
+"""Every function and method that the benchmark's tracer wraps by name
+exists in the library, so a traced run (``perfbench/run.py --trace 1``)
+cannot stop on a name the library dropped."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from baxtertrees.baxter_core import LinComb
+from baxtertrees.scalars import LambdaPoly
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def tracer_tables():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    tables = tracer_tables()
+    named = [(modname, fname)
+             for table in (tables.SPANS, tables.COUNTED)
+             for modname, funcs in table.items() for fname in funcs]
+    assert ("baxter_core", "beta") in named and ("baxter_core", "graft") in named
+    missing = [f"{modname}.{fname}" for modname, fname in named
+               if not callable(getattr(importlib.import_module(f"baxtertrees.{modname}"),
+                                       fname, None))]
+    assert missing == []
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    # The tracer reads each method from the class's own namespace.
+    tables = tracer_tables()
+    assert tables.SCALAR_METHODS and tables.LINCOMB_METHODS
+    missing = [f"{cls.__name__}.{name}"
+               for cls, methods in ((LambdaPoly, tables.SCALAR_METHODS),
+                                    (LinComb, tables.LINCOMB_METHODS))
+               for name in methods if name not in vars(cls)]
+    assert missing == []
