@@ -17,9 +17,9 @@ basis trees (coefficients are integer polynomials in the weight):
   ``beta(u) o beta(v) = beta(u * v)``.
 
 Inside ``circle`` and ``star`` the operator is applied term by term, as
-one tree and one coefficient (``_beta_term``), and each product term is
-merged into its result through ``addmul``; no intermediate combination
-is built.
+one tree and one coefficient (``_beta_term``); no intermediate
+combination is built.  ``star`` merges its three products through
+``addmul``, and ``circle`` stores each term, since no two collide.
 
 The two recursions terminate together: each pass through the seam
 strictly shrinks the total of node and angle degrees, because taking an
@@ -452,6 +452,13 @@ def circle(family: Family, t: Tree, s: Tree) -> LinComb:
     two meeting pieces are both leaves; only then does `graft` have
     angles to merge.  Every other image is placed under a root-0 node
     directly, after `graft`'s check of the other pieces, made once.
+
+    No two terms of the double product land on the same tree, so each
+    term is stored, not merged.  The operator is injective on them: at
+    flag j = 2 both meeting pieces are lowered to root label 0, which
+    every term of their double product keeps (or is the leaf), so each
+    image has root label 1 and coefficient one.  Placing distinct images
+    between the same pieces gives distinct trees.
     """
     t_pieces, t_angles = degraft(t)
     s_pieces, s_angles = degraft(s)
@@ -471,7 +478,7 @@ def circle(family: Family, t: Tree, s: Tree) -> LinComb:
             mid = graft(family, prefix + (mid,) + suffix, angles)
         elif others:
             mid = Node(0, prefix + (mid,) + suffix, angles)
-        addmul(out, {mid: c}, k)
+        out[mid] = c if k is ONE else c * k
     return _wrap(out)
 
 

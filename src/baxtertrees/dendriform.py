@@ -11,6 +11,13 @@ the bare leaf, which acts as its unit.  Grafting here performs no leaf
 merging — a deliberately separate code path from the decorated-tree
 graft.
 
+The three recursions differ only in which children meet and which
+stay, so one seam helper (`_seam_into`) computes all three: it adds the
+product of one pair straight into a coefficient dict through `addmul`,
+handing it the seam's image as one dict (the seam is injective).  The
+memoized `_star` and the bilinear extension in `dend_op` both
+accumulate through it, with no per-pair combination in between.
+
 Dropping the middle product at weight 0 gives a dendriform dialgebra;
 its free object lives on binary trees.  It is implemented as its own
 variant, with agreement against the weight-0 trialgebra as a tested
@@ -32,11 +39,11 @@ from math import comb
 from typing import Union
 
 from .baxter_core import (
-    LinComb, addmul, beta_lc, bilinear, circle_lc, lower_root, star_lc,
+    LinComb, _wrap, addmul, beta_lc, bilinear, circle_lc, star_lc,
 )
 from .errors import DomainError
-from .paths import restore_angles
-from .scalars import LAMBDA
+from .paths import _restore
+from .scalars import LAMBDA, ONE, LambdaPoly
 from .trees import Family, PTree, PlanarTree, Tree, is_binary
 
 __all__ = [
@@ -50,12 +57,14 @@ _OPS = ("left", "right", "dot", "star")
 
 
 def _as_comb(v: Union[PlanarTree, LinComb]) -> LinComb:
-    return v if isinstance(v, LinComb) else LinComb.of(v)
+    return v if isinstance(v, LinComb) else _wrap({v: ONE})
 
 
 def _check_basis(variant: str, v: LinComb, allow_leaf: bool) -> None:
     """Reject the first bad element in display order; only a combination
     that has one is sorted."""
+    if variant == "trialgebra" and all(type(e) is PTree for e in v.terms):
+        return
     bad = [e for e in v.terms if _basis_error(variant, e, allow_leaf)]
     if bad:
         first = min(bad, key=lambda e: e.sort_key())
@@ -78,28 +87,35 @@ def _star(variant: str, x: PlanarTree, y: PlanarTree) -> LinComb:
         return LinComb.of(y)
     if y.is_leaf:
         return LinComb.of(x)
-    out = _left(variant, x, y) + _right(variant, x, y)
+    out: dict = {}
+    _seam_into(out, variant, "left", x, y, ONE)
+    _seam_into(out, variant, "right", x, y, ONE)
     if variant == "trialgebra":
-        addmul(out.terms, _dot(variant, x, y).terms, LAMBDA)
-    return out
+        _seam_into(out, variant, "dot", x, y, LAMBDA)
+    return _wrap(out)
 
 
-def _left(variant: str, x: PTree, y: PTree) -> LinComb:
-    return _seam(_star(variant, x.children[-1], y), x.children[:-1], ())
+def _seam_into(acc: dict, variant: str, op: str, x: PTree, y: PTree,
+               coeff: LambdaPoly) -> None:
+    """Add ``coeff * (x op y)`` into the coefficient dict ``acc``, for op
+    ``left``, ``right`` or ``dot``.
 
-
-def _right(variant: str, x: PTree, y: PTree) -> LinComb:
-    return _seam(_star(variant, x, y.children[0]), (), y.children[1:])
-
-
-def _dot(variant: str, x: PTree, y: PTree) -> LinComb:
-    return _seam(_star(variant, x.children[-1], y.children[0]),
-                 x.children[:-1], y.children[1:])
-
-
-def _seam(middle: LinComb, head: tuple, tail: tuple) -> LinComb:
-    """Each tree of ``middle`` grafted between the children ``head`` and ``tail``."""
-    return middle.map(lambda t: PTree(head + (t,) + tail))
+    Left splits x at its last child, right splits y at its first child,
+    dot splits both; the split-off children (or the whole unsplit factor)
+    meet through `_star`, and each tree of that product is grafted back
+    between the children the split kept.  The seam is injective, so its
+    image goes to `addmul` as one dict.
+    """
+    if op == "right":
+        a, head = x, ()
+    else:
+        a, head = x.children[-1], x.children[:-1]
+    if op == "left":
+        b, tail = y, ()
+    else:
+        b, tail = y.children[0], y.children[1:]
+    middle = _star(variant, a, b).terms
+    addmul(acc, {PTree(head + (t,) + tail): c for t, c in middle.items()}, coeff)
 
 
 def dend_op(
@@ -124,8 +140,14 @@ def dend_op(
     xc, yc = _as_comb(x), _as_comb(y)
     _check_basis(variant, xc, allow_leaf=op == "star")
     _check_basis(variant, yc, allow_leaf=op == "star")
-    fn = {"left": _left, "right": _right, "dot": _dot, "star": _star}[op]
-    return bilinear(lambda a, b: fn(variant, a, b), xc, yc)
+    if op == "star":
+        return bilinear(lambda a, b: _star(variant, a, b), xc, yc)
+    out: dict = {}
+    for a, ca in xc.terms.items():
+        unit = ca.coeffs == (1,)
+        for b, cb in yc.terms.items():
+            _seam_into(out, variant, op, a, b, cb if unit else ca * cb)
+    return _wrap(out)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +185,7 @@ def rb_dendriform(
 def _embed_tree(pt: PlanarTree) -> Tree:
     if pt.is_leaf:
         raise DomainError("the bare leaf has no decorated image")
-    return lower_root(restore_angles(pt))
+    return _restore(pt, 0)
 
 
 def _embed_binary_tree(pt: PlanarTree) -> Tree:

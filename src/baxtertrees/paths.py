@@ -404,21 +404,29 @@ def restore_angles(pt: PlanarTree) -> Tree:
     leaves collapse into angle labels (j−1 leaves give label j)."""
     if pt.is_leaf:
         raise DomainError("the bare leaf has no decorated counterpart")
-    return _restore(pt)
+    return _restore(pt, 1)
 
 
-def _restore(pt: PlanarTree) -> Tree:
+def _restore(pt: PTree, label: int) -> Tree:
+    """`restore_angles` with root label ``label``, in one pass over the
+    children: the first and last child always stay, and each interior
+    leaf widens the angle before the next child that stays."""
     kids = pt.children
     last = len(kids) - 1
-    real = [0] + [k for k in range(1, last) if not kids[k].is_leaf] + [last]
-    children = []
-    angles = []
-    for idx, k in enumerate(real):
-        c = kids[k]
-        children.append(LEAF if c.is_leaf else _restore(c))
-        if idx + 1 < len(real):
-            angles.append(real[idx + 1] - k)  # 1 + number of skipped leaves
-    return Node(1, children, angles)
+    children: list[Tree] = []
+    angles: list[int] = []
+    angle = 1
+    for k, c in enumerate(kids):
+        if not c.is_leaf:
+            c = _restore(c, 1)
+        elif 0 < k < last:
+            angle += 1
+            continue
+        if children:
+            angles.append(angle)
+            angle = 1
+        children.append(c)
+    return Node(label, children, angles)
 
 
 # ---------------------------------------------------------------------------

@@ -850,29 +850,39 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
 # dendriform: seven axioms, induced splittings, embeddings
 # ---------------------------------------------------------------------------
 
-# The seven splitting axioms: a tag, and both sides as functions of the
-# operations (left, right, dot, star) and a triple.  The first three,
-# which never use dot, are the dialgebra's axioms.
+# The seven splitting axioms, each of the shape A(B(x, y), z) == C(x, D(y, z)):
+# a tag, then (A, B) and (C, D) as indices into the operations (left,
+# right, dot, star).  The first three, which never use dot, are the
+# dialgebra's axioms.
+_LT, _RT, _DT, _ST = range(4)
 _AXIOMS = (
-    ("<<", lambda lt, rt, dt, st, x, y, z: (lt(lt(x, y), z), lt(x, st(y, z)))),
-    ("><", lambda lt, rt, dt, st, x, y, z: (lt(rt(x, y), z), rt(x, lt(y, z)))),
-    (">>", lambda lt, rt, dt, st, x, y, z: (rt(st(x, y), z), rt(x, rt(y, z)))),
-    (".<", lambda lt, rt, dt, st, x, y, z: (lt(dt(x, y), z), dt(x, lt(y, z)))),
-    (".>", lambda lt, rt, dt, st, x, y, z: (dt(lt(x, y), z), dt(x, rt(y, z)))),
-    (">.", lambda lt, rt, dt, st, x, y, z: (dt(rt(x, y), z), rt(x, dt(y, z)))),
-    ("..", lambda lt, rt, dt, st, x, y, z: (dt(dt(x, y), z), dt(x, dt(y, z)))),
+    ("<<", (_LT, _LT), (_LT, _ST)),
+    ("><", (_LT, _RT), (_RT, _LT)),
+    (">>", (_RT, _ST), (_RT, _RT)),
+    (".<", (_LT, _DT), (_DT, _LT)),
+    (".>", (_DT, _LT), (_DT, _RT)),
+    (">.", (_DT, _RT), (_RT, _DT)),
+    ("..", (_DT, _DT), (_DT, _DT)),
 )
 
 
 def _axiom_failures(ops: Sequence[Callable], triples: Iterator,
                     axioms: Sequence) -> list:
     """Check each of ``axioms`` on each (x, y, z); ``ops`` are the
-    operations left, right, dot and star."""
+    operations left, right, dot and star.  Each inner product B(x, y) or
+    D(y, z) is computed once per pair and reused across the triples."""
+    inner: dict = {}
+
+    def product(op: int, u, v):
+        key = (op, u, v)
+        if key not in inner:
+            inner[key] = ops[op](u, v)
+        return inner[key]
+
     bad = []
     for x, y, z in triples:
-        for tag, sides in axioms:
-            lhs, rhs = sides(*ops, x, y, z)
-            if lhs != rhs:
+        for tag, (a, b), (c, d) in axioms:
+            if ops[a](product(b, x, y), z) != ops[c](x, product(d, y, z)):
                 bad.append((tag, str(x), str(y), str(z)))
     return bad
 

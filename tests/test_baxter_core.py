@@ -468,6 +468,17 @@ def test_circle_matches_the_composition_of_operator_and_graft():
     assert leaf_middles > 100  # generator o generator among them
 
 
+def test_circle_has_one_term_per_term_of_the_meeting_star():
+    # circle stores each term without merging: no two terms of the
+    # meeting pieces' double product land on the same tree.
+    for family in FAMILIES:
+        pool = [LEAF] + trees_up_to(family, 5)
+        for a, b in itertools.product(pool, repeat=2):
+            meet = star(family, lower_root(degraft(a)[0][-1]),
+                        lower_root(degraft(b)[0][0]))
+            assert len(circle(family, a, b).terms) == len(meet.terms), (family, a, b)
+
+
 def test_star_matches_the_double_product_of_the_operator():
     for family in FAMILIES:
         pool = trees_up_to(family, 5)

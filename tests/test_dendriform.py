@@ -1,8 +1,9 @@
 """Split products on planar trees and the embeddings into tree algebras."""
 
 import itertools
+import random
 
-from baxtertrees.baxter_core import LinComb
+from baxtertrees.baxter_core import LinComb, lower_root
 from baxtertrees.counting import catalan, dim_formula
 from baxtertrees.dendriform import (
     dend_op,
@@ -12,11 +13,14 @@ from baxtertrees.dendriform import (
     rb_dendriform,
 )
 from baxtertrees.errors import DomainError
-from baxtertrees.scalars import LAMBDA
+from baxtertrees.paths import restore_angles
+from baxtertrees.scalars import LAMBDA, ONE, LambdaPoly
 from baxtertrees.trees import (
     Family,
     INF,
     LEAF,
+    Node,
+    PTree,
     binary_trees,
     enumerate_trees,
     parse_planar,
@@ -86,6 +90,113 @@ def test_bad_basis_element_reported_first_in_display_order():
         dend_op("dialgebra", "star", b, mixed)
     with pytest.raises(DomainError, match="^the bare leaf is only a unit for star$"):
         dend_op("trialgebra", "right", b, mixed)
+
+
+def test_decorated_tree_is_not_a_planar_basis_element():
+    a, d = p("(. .)"), t("1(. 1 .)")
+    mixed = LinComb.of(p("((. .) .)")) + LinComb.of(d) + LinComb.of(a)
+    for variant in ("trialgebra", "dialgebra"):
+        for op in ("left", "star"):
+            for x, y in ((d, a), (a, d), (mixed, a), (a, mixed)):
+                with pytest.raises(DomainError,
+                                   match="^expected a planar tree basis element$"):
+                    dend_op(variant, op, x, y)
+
+
+# -- the operations against the recursion written out -----------------------
+
+def reference_star(variant, x, y):
+    if x.is_leaf:
+        return LinComb.of(y)
+    if y.is_leaf:
+        return LinComb.of(x)
+    out = reference_left(variant, x, y) + reference_right(variant, x, y)
+    if variant == "trialgebra":
+        out = out + reference_dot(variant, x, y).scale(LAMBDA)
+    return out
+
+
+def reference_seam(middle, head, tail):
+    return middle.map(lambda tree: PTree(head + (tree,) + tail))
+
+
+def reference_left(variant, x, y):
+    return reference_seam(reference_star(variant, x.children[-1], y),
+                          x.children[:-1], ())
+
+
+def reference_right(variant, x, y):
+    return reference_seam(reference_star(variant, x, y.children[0]),
+                          (), y.children[1:])
+
+
+def reference_dot(variant, x, y):
+    return reference_seam(reference_star(variant, x.children[-1], y.children[0]),
+                          x.children[:-1], y.children[1:])
+
+
+REFERENCE = {"left": reference_left, "right": reference_right,
+             "dot": reference_dot, "star": reference_star}
+
+
+def reference_op(variant, op, u, v):
+    """The bilinear extension as a plain sum of scaled basis products."""
+    out = LinComb()
+    for x, cx in u.terms.items():
+        for y, cy in v.terms.items():
+            out = out + REFERENCE[op](variant, x, y).scale(cx * cy)
+    return out
+
+
+def variant_cases():
+    """Each variant with its trees of at most four (planar) or five
+    (binary) leaves and its operations."""
+    yield "trialgebra", planar_pool(4), ("left", "right", "dot", "star")
+    yield ("dialgebra", [bt for n in range(1, 5) for bt in binary_trees(n)],
+           ("left", "right", "star"))
+
+
+def test_operations_match_the_reference_recursion():
+    for variant, pool, ops in variant_cases():
+        for x, y in itertools.product(pool, repeat=2):
+            u, v = LinComb.of(x), LinComb.of(y)
+            for op in ops:
+                assert dend_op(variant, op, x, y) == reference_op(variant, op, u, v), \
+                    (variant, op, str(x), str(y))
+
+
+def cancelling_combs(variant, op, pool):
+    """Combinations ``u``, ``v`` and a tree ``e`` that occurs in two
+    basis products of their terms and cancels in the sum."""
+    found = {}
+    for x, y in itertools.product(pool, repeat=2):
+        for e, c in REFERENCE[op](variant, x, y).terms.items():
+            found.setdefault(e, []).append((x, y, c))
+    for e, hits in found.items():
+        for (x1, y1, c1), (x2, y2, c2) in itertools.combinations(hits, 2):
+            if x1 == x2:
+                continue
+            u = LinComb([(x1, c2), (x2, -c1)])
+            v = LinComb([(y1, ONE), (y2, ONE)])
+            if e not in reference_op(variant, op, u, v).terms:
+                return u, v, e
+    raise AssertionError(f"no two {op} products cancel")
+
+
+def test_operations_on_combinations_match_the_reference_sum():
+    rng = random.Random(20101)
+    values = [ONE, -ONE, LAMBDA, -LAMBDA, LambdaPoly((2, -1))]
+    for variant, pool, ops in variant_cases():
+        for op in ops:
+            for _ in range(20):
+                u = LinComb([(rng.choice(pool), rng.choice(values)) for _ in range(3)])
+                v = LinComb([(rng.choice(pool), rng.choice(values)) for _ in range(3)])
+                assert dend_op(variant, op, u, v) == reference_op(variant, op, u, v), \
+                    (variant, op, str(u), str(v))
+            u, v, e = cancelling_combs(variant, op, pool)
+            got = dend_op(variant, op, u, v)
+            assert e not in got.terms
+            assert got == reference_op(variant, op, u, v), (variant, op, str(u), str(v))
 
 
 def test_trialgebra_axioms_small():
@@ -181,6 +292,25 @@ def test_dialgebra_embedding_is_injective_morphism_at_weight_zero():
             lhs = embed_dialgebra(dend_op("dialgebra", op, a, b))
             rhs = rb_dendriform(F22, op, embed_dialgebra(a), embed_dialgebra(b))
             assert lhs == rhs.eval_weight(0)
+
+
+def reference_restore(pt):
+    """Angle labels read off index lists of the children that stay."""
+    kids = pt.children
+    last = len(kids) - 1
+    real = [0] + [k for k in range(1, last) if not kids[k].is_leaf] + [last]
+    children = [LEAF if kids[k].is_leaf else reference_restore(kids[k]) for k in real]
+    angles = [b - a for a, b in zip(real, real[1:])]
+    return Node(1, children, angles)
+
+
+def test_restore_and_embedding_match_the_index_list_reference():
+    pool = planar_pool(6)
+    assert len(pool) == 1 + 3 + 11 + 45 + 197
+    for pt in pool:
+        want = reference_restore(pt)
+        assert restore_angles(pt) == want, str(pt)
+        assert embed_trialgebra(pt) == LinComb(lower_root(want)), str(pt)
 
 
 def test_embedding_rejects_bad_input():

@@ -40,3 +40,17 @@ def test_traced_methods_are_defined_on_their_classes():
                                     (LinComb, tables.LINCOMB_METHODS))
                for name in methods if name not in vars(cls)]
     assert missing == []
+
+
+def test_memo_tables_read_by_name_exist():
+    # perfbench/run.py reads these entries of its memo-table map by key,
+    # and that map keeps only lru_cache-like objects defined in their module.
+    run = (TRACING.parent / "run.py").read_text()
+    for key in ("baxter_core.circle", "baxter_core.star", "dendriform._star"):
+        assert f'"{key}"' in run
+        modname, attr = key.split(".")
+        module = importlib.import_module(f"baxtertrees.{modname}")
+        table = getattr(module, attr, None)
+        assert callable(getattr(table, "cache_info", None)), key
+        assert callable(getattr(table, "cache_clear", None)), key
+        assert table.__module__ == module.__name__, key

@@ -3,6 +3,7 @@
 from baxtertrees.dendriform import dend_op
 from baxtertrees.errors import DomainError
 from baxtertrees.trees import binary_trees
+from baxtertrees.trees import planar_trees
 from baxtertrees.verify import (
     _AXIOMS, BUDGETS, DEFAULT_SEED, SUITES, _axiom_failures, run_suite, run_suites,
 )
@@ -64,3 +65,28 @@ def test_axiom_table_reports_like_the_written_out_checks():
                 expected.append((tag, str(x), str(y), str(z)))
     assert expected
     assert _axiom_failures((l_, r_, None, s_), iter(triples), _AXIOMS[:3]) == expected
+
+
+def test_axiom_table_reports_like_the_seven_written_out_checks():
+    # dot replaced by left, so some trialgebra axioms fail on some triples
+    def op(name):
+        return lambda x, y: dend_op("trialgebra", name, x, y)
+
+    l_, r_, d_, s_ = op("left"), op("right"), op("left"), op("star")
+    pool = [pt for n in (1, 2) for m in range(1, n + 1) for pt in planar_trees(n, m)]
+    triples = [(x, y, z) for x in pool for y in pool for z in pool]
+    expected = []
+    for x, y, z in triples:
+        for tag, lhs, rhs in (
+            ("<<", l_(l_(x, y), z), l_(x, s_(y, z))),
+            ("><", l_(r_(x, y), z), r_(x, l_(y, z))),
+            (">>", r_(s_(x, y), z), r_(x, r_(y, z))),
+            (".<", l_(d_(x, y), z), d_(x, l_(y, z))),
+            (".>", d_(l_(x, y), z), d_(x, r_(y, z))),
+            (">.", d_(r_(x, y), z), r_(x, d_(y, z))),
+            ("..", d_(d_(x, y), z), d_(x, d_(y, z))),
+        ):
+            if lhs != rhs:
+                expected.append((tag, str(x), str(y), str(z)))
+    assert {f[0] for f in expected} == {".<", ".>", ".."}
+    assert _axiom_failures((l_, r_, d_, s_), iter(triples), _AXIOMS) == expected
