@@ -28,7 +28,9 @@ The bijections implemented here:
   the plus class with m+1 horizontals and the zero class with m;
 * ``to_colored_motzkin`` / ``from_colored_motzkin`` — the pairwise token
   rewriting that encodes a forced-label tree as a colored mountain path
-  two steps shorter than its diagonal path;
+  two steps shorter than its diagonal path, and its inverse in one pass:
+  up steps matched with their down steps show which ``Ub`` steps a
+  ``(V, DH)`` pair inserted, and the rest reads as a prefix code;
 * ``rotate_to_motzkin`` / ``rotate_from_motzkin`` — the 45-degree
   relabeling H→U, V→D, D→H.
 
@@ -70,31 +72,27 @@ _STEP_TOKENS = {"H", "V", "D", "U", "Ur", "Ub", "Hr", "Hb"}
 
 def parse_path(text: str) -> Path:
     """Parse step text: compact (``HDHVV``) or space-separated
-    (``Ub Hr D``); colored steps are a letter plus ``r``/``b``."""
+    (``Ub Hr D``); colored steps are a letter plus ``r``/``b``.  An
+    unknown step is reported at its own offset in the stripped text."""
     text = text.strip()
-    if not text:
-        return ()
-    if any(ch.isspace() for ch in text):
-        tokens = tuple(text.split())
-        for k, tok in enumerate(tokens):
-            if tok not in _STEP_TOKENS:
-                raise ParseError(f"unknown step {tok!r}", text, 0)
-        return tokens
-    tokens = []
+    tokens: list[str] = []
     j = 0
+    if any(ch.isspace() for ch in text):
+        for tok in text.split():
+            j = text.index(tok, j)
+            if tok not in _STEP_TOKENS:
+                raise ParseError(f"unknown step {tok!r}", text, j)
+            tokens.append(tok)
+            j += len(tok)
+        return tuple(tokens)
     while j < len(text):
-        ch = text[j]
-        if ch not in "HVDU":
+        if text[j] not in "HVDU":
             raise ParseError("unknown step letter", text, j)
-        if j + 1 < len(text) and text[j + 1] in "rb":
-            tokens.append(ch + text[j + 1])
-            j += 2
-        else:
-            tokens.append(ch)
-            j += 1
-    for tok in tokens:
+        tok = text[j:j + 2] if text[j + 1:j + 2] in ("r", "b") else text[j]
         if tok not in _STEP_TOKENS:
-            raise ParseError(f"unknown step {tok!r}", text, 0)
+            raise ParseError(f"unknown step {tok!r}", text, j)
+        tokens.append(tok)
+        j += len(tok)
     return tuple(tokens)
 
 
@@ -111,53 +109,60 @@ def render_path(steps: Sequence[str]) -> str:
 # Diagonal-path predicates
 # ---------------------------------------------------------------------------
 
-def _diagonal_alphabet_ok(steps: Sequence[str]) -> bool:
-    return all(s in ("H", "V", "D") for s in steps)
+def _walk(steps: Sequence[str]) -> tuple:
+    """One pass over a diagonal path.  Returns the index of the first
+    letter other than H, V, D; the index of the first step above the
+    diagonal; x − y at the end; the number of H steps; the index of the
+    last D that starts on the diagonal; and the index of the first V that
+    ends on it.  An index is None when no step qualifies.  Other letters
+    move like D, so the predicates read from this walk are total."""
+    bad = rise = diag = back = None
+    gap = hs = 0  # x − y
+    for k, s in enumerate(steps):
+        if s == "H":
+            gap += 1
+            hs += 1
+        elif s == "V":
+            gap -= 1
+            if gap < 0 and rise is None:
+                rise = k
+            elif gap == 0 and back is None:
+                back = k
+        elif s == "D":
+            if gap == 0:
+                diag = k
+        elif bad is None:
+            bad = k
+    return bad, rise, gap, hs, diag, back
+
+
+def _checked(steps: Sequence[str]) -> tuple:
+    """``(n, m, last diagonal D, first V back on the diagonal)`` of a
+    well-formed diagonal path, from one walk; raises as `schroder_params`
+    does otherwise."""
+    bad, rise, gap, hs, diag, back = _walk(steps)
+    if bad is not None:
+        raise DomainError("diagonal paths use steps H, V, D only")
+    if gap:
+        raise DomainError(f"unbalanced path: {hs} H steps vs {hs - gap} V steps")
+    if rise is not None:
+        raise DomainError("path rises above the diagonal")
+    return len(steps) - hs, hs, diag, back
 
 
 def schroder_params(steps: Sequence[str]) -> tuple[int, int]:
     """(n, m) for a well-formed diagonal path; raises otherwise."""
-    if not _diagonal_alphabet_ok(steps):
-        raise DomainError("diagonal paths use steps H, V, D only")
-    h = sum(1 for s in steps if s == "H")
-    v = sum(1 for s in steps if s == "V")
-    d = sum(1 for s in steps if s == "D")
-    if h != v:
-        raise DomainError(f"unbalanced path: {h} H steps vs {v} V steps")
-    if not is_underdiagonal(steps):
-        raise DomainError("path rises above the diagonal")
-    return (h + d, h)
+    n, m, _, _ = _checked(steps)
+    return n, m
 
 
 def is_underdiagonal(steps: Sequence[str]) -> bool:
-    x = y = 0
-    for s in steps:
-        if s == "H":
-            x += 1
-        elif s == "V":
-            y += 1
-        else:
-            x += 1
-            y += 1
-        if y > x:
-            return False
-    return True
+    return _walk(steps)[1] is None
 
 
 def has_diagonal_double(steps: Sequence[str]) -> bool:
     """True when some D step starts (hence lies) on the main diagonal."""
-    x = y = 0
-    for s in steps:
-        if s == "D" and x == y:
-            return True
-        if s == "H":
-            x += 1
-        elif s == "V":
-            y += 1
-        else:
-            x += 1
-            y += 1
-    return False
+    return _walk(steps)[4] is not None
 
 
 def is_restricted_schroder(steps: Sequence[str]) -> bool:
@@ -180,16 +185,24 @@ def _step_rise(s: str) -> int:
     return 0
 
 
-def motzkin_heights_ok(steps: Sequence[str]) -> bool:
-    """Never below the axis and ends on it (colored steps allowed)."""
+def _mountain_fault(steps: Sequence[str]) -> tuple | None:
+    """The first fault of a mountain path as ``(reason, index)``: a bad
+    letter or a dip, whichever comes first, then a wrong end height."""
     h = 0
-    for s in steps:
-        if s[0] not in "UHD" or s == "V":
-            return False
+    for k, s in enumerate(steps):
+        if s[0] not in "UHD":
+            return "bad step letter", k
         h += _step_rise(s)
         if h < 0:
-            return False
-    return h == 0
+            return "dips below the axis", k
+    if h:
+        return f"ends at height {h}", len(steps) - 1
+    return None
+
+
+def motzkin_heights_ok(steps: Sequence[str]) -> bool:
+    """Never below the axis and ends on it (colored steps allowed)."""
+    return _mountain_fault(steps) is None
 
 
 def is_restricted_motzkin(steps: Sequence[str]) -> bool:
@@ -209,49 +222,31 @@ def classify_path(steps: Sequence[str], kind: str) -> dict:
     """
     report: dict = {"kind": kind, "length": len(steps)}
     if kind == "schroder":
-        if not _diagonal_alphabet_ok(steps):
-            bad = next(k for k, s in enumerate(steps) if s not in ("H", "V", "D"))
+        bad, rise, gap, hs, diag, _ = _walk(steps)
+        if bad is not None:
             report.update(valid=False, reason="bad step letter", index=bad)
-            return report
-        x = y = 0
-        for k, s in enumerate(steps):
-            x += 1 if s in ("H", "D") else 0
-            y += 1 if s in ("V", "D") else 0
-            if y > x:
-                report.update(valid=False, reason="rises above diagonal", index=k)
-                return report
-        if x != y:
+        elif rise is not None:
+            report.update(valid=False, reason="rises above diagonal", index=rise)
+        elif gap:
             report.update(valid=False, reason="does not end on the diagonal",
-                          index=len(steps) - 1 if steps else 0)
-            return report
-        n, m = x, steps.count("H")
-        touching = has_diagonal_double(steps)
-        restricted = is_restricted_schroder(steps)
-        report.update(
-            valid=True, n=n, m=m,
-            plus_class=not touching, zero_class=touching,
-            restricted=restricted,
-        )
+                          index=len(steps) - 1)
+        else:
+            report.update(
+                valid=True, n=len(steps) - hs, m=hs,
+                plus_class=diag is None, zero_class=diag is not None,
+                restricted=is_restricted_schroder(steps),
+            )
         return report
     if kind == "motzkin":
-        h = 0
-        for k, s in enumerate(steps):
-            if s[0] not in "UHD" or s == "V":
-                report.update(valid=False, reason="bad step letter", index=k)
-                return report
-            h += _step_rise(s)
-            if h < 0:
-                report.update(valid=False, reason="dips below the axis", index=k)
-                return report
-        if h != 0:
-            report.update(valid=False, reason=f"ends at height {h}",
-                          index=len(steps) - 1 if steps else 0)
-            return report
-        report.update(
-            valid=True,
-            restricted=is_restricted_motzkin(steps),
-            colored=any(len(s) > 1 for s in steps),
-        )
+        fault = _mountain_fault(steps)
+        if fault:
+            report.update(valid=False, reason=fault[0], index=fault[1])
+        else:
+            report.update(
+                valid=True,
+                restricted=is_restricted_motzkin(steps),
+                colored=any(len(s) > 1 for s in steps),
+            )
         return report
     raise DomainError(f"unknown path kind {kind!r}")
 
@@ -454,8 +449,7 @@ def tree_to_path(pt: PlanarTree) -> Path:
 
 def path_to_tree(p: Sequence[str]) -> PlanarTree:
     """Inverse of `tree_to_path` on plus-class paths."""
-    n, m = schroder_params(p)
-    if has_diagonal_double(p):
+    if _checked(p)[2] is not None:
         raise DomainError("path has a diagonal step on the diagonal")
     if not p:
         raise DomainError("empty path has no tree")
@@ -493,69 +487,33 @@ def path_to_tree(p: Sequence[str]) -> PlanarTree:
 
 def to_zero_class(p: Sequence[str]) -> Path:
     """Send a plus-class path with m+1 horizontals to a zero-class path
-    with m: drop the outer H…V frame; if the remaining core stays weakly
-    under its own diagonal, append D; otherwise the first V crossing the
-    core diagonal (necessarily leaving a core-diagonal point) becomes D
-    and a V is appended."""
-    n, m1 = schroder_params(p)
-    if has_diagonal_double(p):
+    with m.  Write the path as ``H A V B`` with ``H A V`` its first return
+    to the diagonal; the image is ``A D B``.  (In the core between the
+    outer H…V frame, that V is the first step above the core's diagonal,
+    or the frame's own V when the core stays under it.)"""
+    n, m1, diag, back = _checked(p)
+    if diag is not None:
         raise DomainError("input must be in the plus class")
     if m1 < 1 or p[0] != "H" or p[-1] != "V":
         raise DomainError("plus-class path must start with H and end with V")
-    core = list(p[1:-1])
-    # track the core in its own coordinates
-    x = y = 0
-    crossing = None
-    for k, s in enumerate(core):
-        if s == "H":
-            x += 1
-        elif s == "V":
-            y += 1
-            if y > x and crossing is None:
-                crossing = k
-        else:
-            x += 1
-            y += 1
-    if crossing is None:
-        out = tuple(core) + ("D",)
-    else:
-        core[crossing] = "D"
-        out = tuple(core) + ("V",)
-    nn, mm = schroder_params(out)
-    if (nn, mm) != (n, m1 - 1) or not has_diagonal_double(out):
+    out = tuple(p[1:back]) + ("D",) + tuple(p[back + 1:])
+    nn, mm, out_diag, _ = _checked(out)
+    if (nn, mm) != (n, m1 - 1) or out_diag is None:
         raise DomainError("internal error: image not in the zero class")
     return out
 
 
 def to_plus_class(q: Sequence[str]) -> Path:
-    """Inverse: a zero-class path ending in D loses that D and gains the
-    H…V frame; one ending in V has its last diagonal-touching D turned
-    back into V before framing."""
-    n, m = schroder_params(q)
-    if not has_diagonal_double(q):
+    """Inverse: write a zero-class path as ``A D B`` with that D the last
+    one starting on the diagonal; the image is ``H A V B``.  (A final D
+    is dropped and framed by H…V; otherwise that D turns back into V and
+    the trailing V becomes the frame's.)"""
+    n, m, diag, _ = _checked(q)
+    if diag is None:
         raise DomainError("input must be in the zero class")
-    if q[-1] == "D":
-        out = ("H",) + tuple(q[:-1]) + ("V",)
-    else:
-        core = list(q[:-1])  # the trailing V is absorbed into the frame
-        x = y = 0
-        last_diag = None
-        for k, s in enumerate(core):
-            if s == "D":
-                if x == y:
-                    last_diag = k
-                x += 1
-                y += 1
-            elif s == "H":
-                x += 1
-            else:
-                y += 1
-        if last_diag is None:
-            raise DomainError("no diagonal D before the trailing V")
-        core[last_diag] = "V"
-        out = ("H",) + tuple(core) + ("V",)
-    nn, mm = schroder_params(out)
-    if (nn, mm) != (n, m + 1) or has_diagonal_double(out):
+    out = ("H",) + tuple(q[:diag]) + ("V",) + tuple(q[diag + 1:])
+    nn, mm, out_diag, _ = _checked(out)
+    if (nn, mm) != (n, m + 1) or out_diag is not None:
         raise DomainError("internal error: image not in the plus class")
     return out
 
@@ -577,6 +535,9 @@ _PAIR_IMAGES = {
     ("V", "V"): ("D",),
     ("V", "H"): ("Hb",),
 }
+# the other direction: no image is a prefix of another, so a path reads
+# back into images one step at a time
+_PAIR_OF = {image: pair for pair, image in _PAIR_IMAGES.items()}
 
 
 def _core_tokens(core: Sequence[str]) -> list[str]:
@@ -631,7 +592,7 @@ def to_colored_motzkin(t: Tree) -> Path:
         raise DomainError("not a valid fully-forced tree: " + "; ".join(problems))
     if t.label != 1:
         raise DomainError("root label must be 1 (raise a root-0 tree first)")
-    p = tree_to_path(strip_angles(t))
+    p = tree_to_path(_strip(t))  # valid in 2,2 with root 1: strippable
     tokens = _core_tokens(p[1:-1])
     if len(tokens) % 2:
         raise DomainError("internal error: odd token count")
@@ -639,25 +600,18 @@ def to_colored_motzkin(t: Tree) -> Path:
     return _rewrite_pairs(pairs)
 
 
-def _ub_subsequence_ok(replay: Sequence[str], target: Sequence[str]) -> bool:
-    """Necessary condition: replay must embed into target using only
-    skips of Ub steps (later rewriting only inserts Ub or appends)."""
-    j = 0
-    for s in replay:
-        while j < len(target) and target[j] != s and target[j] == "Ub":
-            j += 1
-        if j >= len(target) or target[j] != s:
-            return False
-        j += 1
-    return True
-
-
 def from_colored_motzkin(path: Sequence[str]) -> Tree:
     """Decode a colored mountain path back to the forced-label tree.
 
-    Inverts the pairwise rewriting by a backtracking search over token
-    pairs, replaying the forward rewriting to confirm the match; the
-    search is exact because later pairs only append steps or insert Ub.
+    One pass matches each up step with the down step that closes it.  A
+    ``(V, DH)`` pair inserts ``Ub`` just before an up step ``u`` and
+    appends the ``D`` that closes ``u``.  The only other ``Ub`` followed
+    by an up step is the first of ``Ub Ub D``, the image of ``(DH, DH)``,
+    whose second ``Ub`` the very next step closes.  Dropping the inserted
+    ``Ub`` steps and reading each appended ``D`` as ``(V, DH)`` leaves
+    the images of the other pairs in order, and those images form a
+    prefix code.  Every colored mountain path encodes a tree, so a result
+    that does not encode back to the path is an internal error.
     """
     path = tuple(path)
     for s in path:
@@ -665,40 +619,32 @@ def from_colored_motzkin(path: Sequence[str]) -> Tree:
             raise DomainError(f"unexpected step {s!r} for a colored mountain path")
     if not motzkin_heights_ok(path):
         raise DomainError("not a valid mountain path")
-    matches: list[tuple] = []
-
-    def dfs(pairs: list, replay: tuple) -> None:
-        if len(replay) > len(path):
-            return
-        if len(replay) == len(path):
-            if replay == path:
-                matches.append(tuple(pairs))
-            return
-        if not _ub_subsequence_ok(replay, path):
-            return
-        for pair in list(_PAIR_IMAGES) + [("V", "DH")]:
-            pairs.append(pair)
-            try:
-                nxt = _rewrite_pairs(pairs)
-            except DomainError:
-                pairs.pop()
-                continue
-            dfs(pairs, nxt)
-            pairs.pop()
-
-    dfs([], ())
-    if not matches:
-        raise DomainError("path is not in the image of the tree encoding")
-    if len(matches) > 1:
-        raise DomainError("internal error: ambiguous decoding")
-    tokens: list[str] = []
-    for a, b in matches[0]:
-        tokens.extend([a, b])
-    core: list[str] = []
-    for tok in tokens:
-        core.extend(["D", "H"] if tok == "DH" else [tok])
-    p = ("H",) + tuple(core) + ("V",)
-    return restore_angles(path_to_tree(p))
+    closer: dict[int, int] = {}
+    ups: list[int] = []
+    for k, s in enumerate(path):
+        if s == "D":
+            closer[ups.pop()] = k
+        elif s[0] == "U":
+            ups.append(k)
+    appended: set[int] = set()  # the D steps of (V, DH) pairs
+    pairs: list[tuple[str, str]] = []
+    image: tuple = ()
+    for k, s in enumerate(path):
+        if k in appended:
+            pairs.append(("V", "DH"))
+        elif (s == "Ub" and k + 1 < len(path) and path[k + 1][0] == "U"
+              and path[k + 1:k + 3] != ("Ub", "D")):
+            appended.add(closer[k + 1])  # an inserted Ub: drop it
+        else:
+            image += (s,)
+            if image in _PAIR_OF:
+                pairs.append(_PAIR_OF[image])
+                image = ()
+    core = "".join(a + b for a, b in pairs)  # token DH is the steps D, H
+    t = restore_angles(path_to_tree(("H",) + tuple(core) + ("V",)))
+    if to_colored_motzkin(t) != path:
+        raise DomainError("internal error: the decoded tree does not encode back")
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,18 @@
 Each criterion drives the same suite functions as ``baxtertrees verify``
 at the ``desk`` budget, so the command line and this gate cannot drift
 apart.  Criteria with a stated runtime budget assert it; all comparisons
-are exact (integer or polynomial equality), never approximate.
+are exact (integer or polynomial equality), never approximate.  Each
+suite's check names and outcomes must also equal the ones recorded in the
+benchmark's verify-desk golden, so a renamed or added check fails here
+first.
 """
 
+import json
+from pathlib import Path
+
 import baxtertrees.verify as verify
+
+_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench/recorded/verify-desk.json"
 
 _elapsed: dict[str, float] = {}
 
@@ -22,6 +30,10 @@ def _criterion(number, suite, budget_seconds=None):
     assert result.ok, f"criterion {number} failed: " + "; ".join(
         f"{c.name} [{c.detail}]" for c in failures
     )
+    golden = json.loads(_GOLDEN.read_text())["checks"]
+    recorded = [(name, ok) for s, name, ok in golden if s == suite]
+    assert [(c.name, c.ok) for c in result.checks] == recorded, (
+        f"criterion {number}: {suite} checks differ from {_GOLDEN.name}")
     if budget_seconds is not None:
         assert result.elapsed < budget_seconds, (
             f"criterion {number} exceeded its {budget_seconds}s budget: "

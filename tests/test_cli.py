@@ -144,6 +144,18 @@ def test_classify_infers_motzkin_from_colored_steps(capsys):
     assert out.startswith("kind\tschroder\n")
 
 
+def test_unknown_step_points_at_its_token(capsys):
+    code, _, err = run(capsys, "classify", "HDVr")
+    assert code == EXIT_PARSE
+    assert err == "parse error: unknown step 'Vr' (at position 2: 'Vr')\n"
+    code, _, err = run(capsys, "classify", "H V Vr")
+    assert code == EXIT_PARSE
+    assert err == "parse error: unknown step 'Vr' (at position 4: 'Vr')\n"
+    code, _, err = run(capsys, "path-to-tree", " H  Xb V")
+    assert code == EXIT_PARSE
+    assert err == "parse error: unknown step 'Xb' (at position 3: 'Xb V')\n"
+
+
 def test_rotate_directions(capsys):
     _, out, _ = run(capsys, "rotate", "HDHVV")
     assert out.strip() == "UHUDD"

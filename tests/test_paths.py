@@ -235,3 +235,77 @@ def test_shape_reading_matches_leaf_count():
             for tree in enumerate_positive_root(FI2, n + 1, m + 1):
                 path = tree_to_path(strip_angles(tree))
                 assert path_to_tree(path) == strip_angles(tree)
+
+
+# -- pinned errors ----------------------------------------------------------
+
+def _domain_error(f, text):
+    steps = tuple(text.split()) if " " in text else tuple(text)
+    with pytest.raises(DomainError) as info:
+        f(steps)
+    return str(info.value)
+
+
+_DIAGONAL_ERRORS = {
+    "HXV": "diagonal paths use steps H, V, D only",
+    "U D": "diagonal paths use steps H, V, D only",
+    "VHX": "diagonal paths use steps H, V, D only",   # bad letter after a rise
+    "HVV": "unbalanced path: 1 H steps vs 2 V steps",
+    "VHH": "unbalanced path: 2 H steps vs 1 V steps",  # rise on an unbalanced path
+    "H": "unbalanced path: 1 H steps vs 0 V steps",
+    "VH": "path rises above the diagonal",
+    "VHDHV": "path rises above the diagonal",
+}
+
+
+def test_schroder_params_errors_pinned():
+    for text, message in _DIAGONAL_ERRORS.items():
+        assert _domain_error(schroder_params, text) == message, text
+
+
+def test_class_conversion_errors_pinned():
+    for f in (path_to_tree, to_zero_class, to_plus_class):
+        for text, message in _DIAGONAL_ERRORS.items():
+            assert _domain_error(f, text) == message, (f.__name__, text)
+    assert _domain_error(path_to_tree, "D") == "path has a diagonal step on the diagonal"
+    assert _domain_error(path_to_tree, "DHVD") == "path has a diagonal step on the diagonal"
+    assert _domain_error(path_to_tree, "") == "empty path has no tree"
+    assert _domain_error(to_zero_class, "DHVD") == "input must be in the plus class"
+    assert _domain_error(to_zero_class, "") == (
+        "plus-class path must start with H and end with V")
+    assert _domain_error(to_plus_class, "HDHVV") == "input must be in the zero class"
+    assert _domain_error(to_plus_class, "") == "input must be in the zero class"
+
+
+def test_from_colored_motzkin_errors_pinned():
+    f = from_colored_motzkin
+    assert _domain_error(f, "Ub H D") == "unexpected step 'H' for a colored mountain path"
+    assert _domain_error(f, "U D") == "unexpected step 'U' for a colored mountain path"
+    # a bad step anywhere is reported before a dip
+    assert _domain_error(f, "D Ub Hx") == (
+        "unexpected step 'Hx' for a colored mountain path")
+    for text in ("D Ub", "Ub Ub", "Ub Hr", "Hr D Ub", "D"):
+        assert _domain_error(f, text) == "not a valid mountain path", text
+    assert str(f(())) == "1(. 1 .)"
+
+
+def test_classify_reports_the_first_fault_pinned():
+    def fault(text, kind):
+        r = classify_path(tuple(text), kind)
+        assert not r["valid"]
+        return r["reason"], r["index"]
+
+    # diagonal paths: a bad letter anywhere, then a rise, then the end
+    assert fault("VHX", "schroder") == ("bad step letter", 2)
+    assert fault("DX", "schroder") == ("bad step letter", 1)
+    assert fault("VHH", "schroder") == ("rises above diagonal", 0)
+    assert fault("HVVHH", "schroder") == ("rises above diagonal", 2)
+    assert fault("HHV", "schroder") == ("does not end on the diagonal", 2)
+    # mountain paths: whichever of a bad letter and a dip comes first
+    assert fault("DX", "motzkin") == ("dips below the axis", 0)
+    assert fault("UX", "motzkin") == ("bad step letter", 1)
+    assert fault("HVD", "motzkin") == ("bad step letter", 1)
+    assert fault("UHDD", "motzkin") == ("dips below the axis", 3)
+    assert fault("UU", "motzkin") == ("ends at height 2", 1)
+    r = classify_path((), "schroder")
+    assert r["valid"] and (r["n"], r["m"], r["plus_class"]) == (0, 0, True)
