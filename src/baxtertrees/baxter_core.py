@@ -35,7 +35,7 @@ into corner trees and root-raised pieces.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
 from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, parse_poly
@@ -71,23 +71,19 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data: dict = {}
         if isinstance(terms, Mapping):
             pairs = terms.items()
         elif hasattr(terms, "sort_key"):
             pairs = [(terms, ONE)]
         else:
             pairs = terms
-        for elem, raw in pairs:
-            addmul(data, LinComb.of(elem, raw).terms, ONE)
-        self.terms = data
+        self.terms = {}
+        addmul(self.terms, ((e, _coefficient(c)) for e, c in pairs), ONE)
 
     @classmethod
     def of(cls, elem, coeff=ONE) -> "LinComb":
         """The single term ``coeff * elem``."""
-        c = LambdaPoly._coerce(coeff)
-        if c is NotImplemented:
-            raise TypeError(f"coefficient {coeff!r} is not a weight polynomial")
+        c = _coefficient(coeff)
         return _wrap({} if c.is_zero else {elem: c})
 
     @classmethod
@@ -112,7 +108,7 @@ class LinComb:
         if not isinstance(other, LinComb):
             return NotImplemented
         out = dict(self.terms)
-        addmul(out, other.terms, ONE)
+        addmul(out, other.terms.items(), ONE)
         return _wrap(out)
 
     def __sub__(self, other):
@@ -140,7 +136,7 @@ class LinComb:
         """Linear extension of a basis map ``f: elem -> LinComb``."""
         out: dict = {}
         for elem, coeff in self.terms.items():
-            addmul(out, f(elem).terms, coeff)
+            addmul(out, f(elem).terms.items(), coeff)
         return _wrap(out)
 
     def map(self, f: Callable) -> "LinComb":
@@ -148,17 +144,7 @@ class LinComb:
         coefficient moves to the image of its element, and images that
         collide add, dropping a sum that is zero."""
         out: dict = {}
-        for elem, coeff in self.terms.items():
-            img = f(elem)
-            old = out.get(img)
-            if old is None:
-                out[img] = coeff
-            else:
-                coeff = old + coeff
-                if coeff.is_zero:
-                    del out[img]
-                else:
-                    out[img] = coeff
+        addmul(out, ((f(e), c) for e, c in self.terms.items()), ONE)
         return _wrap(out)
 
     def map_coeffs(self, f: Callable[[LambdaPoly], LambdaPoly]) -> "LinComb":
@@ -204,6 +190,15 @@ def term_text(elem, coeff: LambdaPoly) -> str:
     return f"({coeff})*{elem}"
 
 
+def _coefficient(raw) -> LambdaPoly:
+    """``raw`` as a weight polynomial; the one coercion of a given
+    coefficient, shared by `LinComb` and `LinComb.of`."""
+    c = LambdaPoly._coerce(raw)
+    if c is NotImplemented:
+        raise TypeError(f"coefficient {raw!r} is not a weight polynomial")
+    return c
+
+
 def _wrap(terms: dict) -> LinComb:
     """A combination owning ``terms``, which must hold no zero coefficient."""
     out = LinComb.__new__(LinComb)
@@ -211,17 +206,18 @@ def _wrap(terms: dict) -> LinComb:
     return out
 
 
-def addmul(acc: dict, terms: Mapping, coeff: LambdaPoly) -> None:
-    """Add ``coeff * terms`` into the coefficient dict ``acc`` in place.
+def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
+    """Add ``coeff`` times the ``(element, coefficient)`` pairs of
+    ``terms`` into the coefficient dict ``acc`` in place.
 
-    Sums, products and linear extensions merge terms here; only
-    `LinComb.map` merges its own, the colliding images of a basis map.
-    A zero result is dropped, whether it cancels against ``acc`` or is
-    zero from the start.  ``terms`` is only read, since it may be a
+    This is the one place where terms merge: construction, sums,
+    products, basis maps and linear extensions all come here.  A zero
+    result is dropped, whether it cancels against ``acc`` or is zero
+    from the start.  ``terms`` is only read, since it may view a
     memoized result shared with other callers.
     """
     unit = coeff.coeffs == (1,)
-    for elem, c in terms.items():
+    for elem, c in terms:
         if not unit:  # a product with one would only copy
             c = coeff if c.coeffs == (1,) else c * coeff
         old = acc.get(elem)
@@ -234,12 +230,14 @@ def addmul(acc: dict, terms: Mapping, coeff: LambdaPoly) -> None:
 
 
 def bilinear(op: Callable, u: LinComb, v: LinComb) -> LinComb:
-    """The bilinear extension of a basis product ``op(x, y) -> LinComb``."""
+    """The bilinear extension of a basis product ``op(x, y)``, which
+    returns the ``(element, coefficient)`` pairs of its product; the one
+    loop over the terms of two combinations."""
     out: dict = {}
     for x, cx in u.terms.items():
         unit = cx.coeffs == (1,)
         for y, cy in v.terms.items():
-            addmul(out, op(x, y).terms, cy if unit else cx * cy)
+            addmul(out, op(x, y), cy if unit else cx * cy)
     return _wrap(out)
 
 
@@ -427,7 +425,7 @@ def beta_lc(family: Family, u: LinComb) -> LinComb:
     out: dict = {}
     for t, c in u.terms.items():
         x, k = _beta_term(family, t)
-        addmul(out, {x: c}, k)
+        addmul(out, ((x, c),), k)
     return _wrap(out)
 
 
@@ -495,19 +493,19 @@ def star(family: Family, u: Tree, v: Tree) -> LinComb:
         return LinComb.of(u)
     out: dict = {}
     x, c = _beta_term(family, u)
-    addmul(out, circle(family, x, v).terms, c)
+    addmul(out, circle(family, x, v).terms.items(), c)
     y, c = _beta_term(family, v)
-    addmul(out, circle(family, u, y).terms, c)
-    addmul(out, circle(family, u, v).terms, LAMBDA)
+    addmul(out, circle(family, u, y).terms.items(), c)
+    addmul(out, circle(family, u, v).terms.items(), LAMBDA)
     return _wrap(out)
 
 
 def circle_lc(family: Family, u: LinComb, v: LinComb) -> LinComb:
-    return bilinear(lambda x, y: circle(family, x, y), u, v)
+    return bilinear(lambda x, y: circle(family, x, y).terms.items(), u, v)
 
 
 def star_lc(family: Family, u: LinComb, v: LinComb) -> LinComb:
-    return bilinear(lambda x, y: star(family, x, y), u, v)
+    return bilinear(lambda x, y: star(family, x, y).terms.items(), u, v)
 
 
 def circle_power(family: Family, t: Tree, k: int) -> LinComb:

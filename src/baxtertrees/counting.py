@@ -130,12 +130,8 @@ def dim_formula(family: Family, n: int, m: int) -> int:
     if family == Family(INF, 2):
         return _dim_free_angle(n, m)
     if family == Family(2, INF):
-        return sum(comb(m - 1, k - 1) * _dim_forced(n, k) for k in range(1, m + 1))
-    return sum(
-        comb(n - 1, k - 1) * comb(m - 1, l - 1) * _dim_forced(k, l)
-        for k in range(1, n + 1)
-        for l in range(1, m + 1)
-    )
+        return binomial_transform_table(_dim_forced, n, m, in_first=False)
+    return binomial_transform_table(_dim_forced, n, m)
 
 
 def binomial_transform(seq: Sequence[int]) -> tuple[int, ...]:
@@ -219,11 +215,7 @@ class BiSeries:
         return BiSeries(out, self.N, self.M)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return BiSeries(out, self.N, self.M)
+        return self + (-other)
 
     def __neg__(self) -> "BiSeries":
         return BiSeries({k: -v for k, v in self.coeffs.items()}, self.N, self.M)

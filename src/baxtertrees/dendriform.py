@@ -12,11 +12,12 @@ merging — a deliberately separate code path from the decorated-tree
 graft.
 
 The three recursions differ only in which children meet and which
-stay, so one seam helper (`_seam_into`) computes all three: it adds the
-product of one pair straight into a coefficient dict through `addmul`,
-handing it the seam's image as one dict (the seam is injective).  The
-memoized `_star` and the bilinear extension in `dend_op` both
-accumulate through it, with no per-pair combination in between.
+stay, so one seam helper (`_seam`) computes all three: it returns the
+terms of one pair's product as ``(tree, coefficient)`` pairs, with no
+combination built in between (the seam is injective), and hands star to
+the memoized `_star`.  `_star` adds its three seams through `addmul`,
+and `dend_op` is the bilinear extension (`bilinear`) of `_seam` for
+every operation.
 
 Dropping the middle product at weight 0 gives a dendriform dialgebra;
 its free object lives on binary trees.  It is implemented as its own
@@ -36,14 +37,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Union
+from typing import Iterable, Union
 
 from .baxter_core import (
     LinComb, _wrap, addmul, beta_lc, bilinear, circle_lc, star_lc,
 )
 from .errors import DomainError
 from .paths import _restore
-from .scalars import LAMBDA, ONE, LambdaPoly
+from .scalars import LAMBDA, ONE
 from .trees import Family, PTree, PlanarTree, Tree, is_binary
 
 __all__ = [
@@ -88,24 +89,25 @@ def _star(variant: str, x: PlanarTree, y: PlanarTree) -> LinComb:
     if y.is_leaf:
         return LinComb.of(x)
     out: dict = {}
-    _seam_into(out, variant, "left", x, y, ONE)
-    _seam_into(out, variant, "right", x, y, ONE)
+    addmul(out, _seam(variant, "left", x, y), ONE)
+    addmul(out, _seam(variant, "right", x, y), ONE)
     if variant == "trialgebra":
-        _seam_into(out, variant, "dot", x, y, LAMBDA)
+        addmul(out, _seam(variant, "dot", x, y), LAMBDA)
     return _wrap(out)
 
 
-def _seam_into(acc: dict, variant: str, op: str, x: PTree, y: PTree,
-               coeff: LambdaPoly) -> None:
-    """Add ``coeff * (x op y)`` into the coefficient dict ``acc``, for op
-    ``left``, ``right`` or ``dot``.
+def _seam(variant: str, op: str, x: PlanarTree, y: PlanarTree) -> Iterable:
+    """The terms of ``x op y`` as ``(tree, coefficient)`` pairs, for any
+    of the four operations.
 
-    Left splits x at its last child, right splits y at its first child,
-    dot splits both; the split-off children (or the whole unsplit factor)
-    meet through `_star`, and each tree of that product is grafted back
-    between the children the split kept.  The seam is injective, so its
-    image goes to `addmul` as one dict.
+    Star is the memoized `_star`.  Left splits x at its last child,
+    right splits y at its first child, dot splits both; the split-off
+    children (or the whole unsplit factor) meet through `_star`, and each
+    tree of that product is grafted back between the children the split
+    kept.  The seam is injective, so no two of its terms collide.
     """
+    if op == "star":
+        return _star(variant, x, y).terms.items()
     if op == "right":
         a, head = x, ()
     else:
@@ -115,7 +117,7 @@ def _seam_into(acc: dict, variant: str, op: str, x: PTree, y: PTree,
     else:
         b, tail = y.children[0], y.children[1:]
     middle = _star(variant, a, b).terms
-    addmul(acc, {PTree(head + (t,) + tail): c for t, c in middle.items()}, coeff)
+    return ((PTree(head + (t,) + tail), c) for t, c in middle.items())
 
 
 def dend_op(
@@ -140,14 +142,7 @@ def dend_op(
     xc, yc = _as_comb(x), _as_comb(y)
     _check_basis(variant, xc, allow_leaf=op == "star")
     _check_basis(variant, yc, allow_leaf=op == "star")
-    if op == "star":
-        return bilinear(lambda a, b: _star(variant, a, b), xc, yc)
-    out: dict = {}
-    for a, ca in xc.terms.items():
-        unit = ca.coeffs == (1,)
-        for b, cb in yc.terms.items():
-            _seam_into(out, variant, op, a, b, cb if unit else ca * cb)
-    return _wrap(out)
+    return bilinear(lambda a, b: _seam(variant, op, a, b), xc, yc)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +162,7 @@ def rb_dendriform(
         raise DomainError(f"unknown dendriform operation {op!r}")
     ac, bc = _as_comb(a), _as_comb(b)
     for v in (ac, bc):
-        if any(e.is_leaf for e in v.support()):
+        if any(e.is_leaf for e in v.terms):
             raise DomainError("the unit tree is not in the non-unital algebra")
     if op == "left":
         return circle_lc(family, ac, beta_lc(family, bc))

@@ -297,13 +297,13 @@ def pi_map(variant: str, v: Union[Tree, LinComb]) -> LinComb:
     if not isinstance(v, LinComb):
         v = LinComb(v)
 
-    def one(t: Tree) -> LinComb:
+    def word(t: Tree) -> Word:
         if t.is_leaf:
             raise DomainError("the unit tree has no word image "
                               "(non-unital algebras)")
-        return LinComb(pi_word(variant, t))
+        return pi_word(variant, t)
 
-    return v.apply(one)
+    return v.map(word)
 
 
 # ---------------------------------------------------------------------------

@@ -448,7 +448,13 @@ def tree_to_path(pt: PlanarTree) -> Path:
 
 
 def path_to_tree(p: Sequence[str]) -> PlanarTree:
-    """Inverse of `tree_to_path` on plus-class paths."""
+    """Inverse of `tree_to_path` on plus-class paths.
+
+    Every non-empty plus-class path is the reading of a tree, so once
+    the class checks pass the parse cannot fail: it starts with H, each
+    node's children run to its V, and the root's last child ends the
+    path.
+    """
     if _checked(p)[2] is not None:
         raise DomainError("path has a diagonal step on the diagonal")
     if not p:
@@ -457,16 +463,12 @@ def path_to_tree(p: Sequence[str]) -> PlanarTree:
 
     def parse_node() -> PlanarTree:
         nonlocal pos
-        if pos >= len(p) or p[pos] != "H":
-            raise DomainError(f"expected H at step {pos}")
-        pos += 1
+        pos += 1  # the H
         children = [parse_child()]
-        while pos < len(p) and p[pos] == "D":
+        while p[pos] == "D":
             pos += 1
             children.append(parse_child())
-        if pos >= len(p) or p[pos] != "V":
-            raise DomainError(f"expected V at step {pos}")
-        pos += 1
+        pos += 1  # the V
         children.append(parse_child())
         return PTree(children)
 
@@ -475,10 +477,7 @@ def path_to_tree(p: Sequence[str]) -> PlanarTree:
             return parse_node()
         return LEAF
 
-    tree = parse_node()
-    if pos != len(p):
-        raise DomainError(f"trailing steps after position {pos}")
-    return tree
+    return parse_node()
 
 
 # ---------------------------------------------------------------------------

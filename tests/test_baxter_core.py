@@ -84,6 +84,43 @@ def test_lincomb_display_order():
     assert str(LinComb()) == "0"
 
 
+def test_lincomb_built_from_a_mapping_an_element_or_pairs():
+    a, b = t("1(. 1 .)"), t("1(. 2 .)")
+    two_l = LambdaPoly((0, 2))
+    assert LinComb({a: 3, b: two_l}).terms == {a: LambdaPoly.const(3), b: two_l}
+    assert LinComb(a).terms == {a: ONE}
+    assert LinComb([(a, 3), (b, two_l)]) == LinComb({a: 3, b: two_l})
+    assert LinComb(iter([(b, LAMBDA)])).terms == {b: LAMBDA}
+    assert LinComb().terms == {}
+
+
+def test_lincomb_construction_drops_zeros_and_merges_repeats():
+    a, b = t("1(. 1 .)"), t("1(. 2 .)")
+    assert LinComb({a: 0, b: ZERO}).terms == {}
+    assert LinComb([(a, 0), (b, 1)]).terms == {b: ONE}
+    assert LinComb([(a, 2), (b, LAMBDA), (a, LAMBDA)]).terms == {
+        a: LambdaPoly((2, 1)), b: LAMBDA}
+    assert LinComb([(a, LAMBDA), (a, -LAMBDA)]).terms == {}
+    assert LinComb([(a, 1), (a, -1), (a, 0), (a, 5)]).terms == {a: LambdaPoly.const(5)}
+
+
+def test_lincomb_rejects_a_coefficient_that_is_no_polynomial():
+    a = t("1(. 1 .)")
+    message = "coefficient 1.5 is not a weight polynomial"
+    with pytest.raises(TypeError) as info:
+        LinComb([(a, 1.5)])
+    assert str(info.value) == message
+    with pytest.raises(TypeError) as info:
+        LinComb({a: 1.5})
+    assert str(info.value) == message
+    with pytest.raises(TypeError) as info:
+        LinComb.of(a, 1.5)
+    assert str(info.value) == message
+    with pytest.raises(TypeError) as info:
+        LinComb.of(a, "l")
+    assert str(info.value) == "coefficient 'l' is not a weight polynomial"
+
+
 def test_parse_lincomb_round_trip():
     text = "2*1(. 2 .) - l*1(. 1 .) + (l^2 + 1)*0(. 1 .)"
     a = parse_lincomb(text, parse_tree)
@@ -332,15 +369,15 @@ def test_addmul_drops_zeros_on_collision_and_when_fresh():
     a, b = t("1(. 1 .)"), t("1(. 2 .)")
     acc = {a: LambdaPoly.const(2)}
     terms = {a: ONE}
-    addmul(acc, terms, LambdaPoly.const(-2))
+    addmul(acc, terms.items(), LambdaPoly.const(-2))
     assert acc == {}
     assert terms == {a: ONE}
-    addmul(acc, {b: ZERO}, ONE)
-    addmul(acc, {b: ZERO}, LAMBDA)
-    addmul(acc, {b: ONE}, ZERO)
+    addmul(acc, [(b, ZERO)], ONE)
+    addmul(acc, [(b, ZERO)], LAMBDA)
+    addmul(acc, [(b, ONE)], ZERO)
     assert acc == {}
     acc = {a: LAMBDA}
-    addmul(acc, {a: ONE, b: LAMBDA}, ZERO)
+    addmul(acc, [(a, ONE), (b, LAMBDA)], ZERO)
     assert acc == {a: LAMBDA}
 
 

@@ -24,6 +24,7 @@ from baxtertrees.monomial import (
     word_quotient,
     word_variant,
 )
+from baxtertrees.scalars import LAMBDA, LambdaPoly
 from baxtertrees.trees import Family, INF, enumerate_trees, parse_tree
 
 import pytest
@@ -151,6 +152,18 @@ def test_kernel_relation_nontrivial_pair():
     b = t("1(1(. 1 .) 1 .)")
     assert tilde_equiv(a, b)
     assert a != b
+
+
+def test_projection_of_a_kernel_pair_merges_their_coefficients():
+    a = t("1(. 1 1(. 1 .))")
+    b = t("1(1(. 1 .) 1 .)")
+    assert tilde_equiv(a, b) and a != b
+    word = pi_word("infinity", a)
+    assert pi_map("infinity", LinComb([(a, 3), (b, -3)])) == LinComb()
+    assert pi_map("infinity", LinComb([(a, LAMBDA), (b, -LAMBDA)])).is_zero
+    assert pi_map("infinity", LinComb({a: 1, b: 1})).terms == {word: LambdaPoly.const(2)}
+    assert pi_map("infinity", LinComb([(a, 2), (b, LAMBDA)])).terms == {
+        word: LambdaPoly((2, 1))}
 
 
 def test_projection_images_follow_block_count():

@@ -1,5 +1,8 @@
 """Diagonal and mountain paths, their classes, and the tree encodings."""
 
+import itertools
+import re
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -275,6 +278,25 @@ def test_class_conversion_errors_pinned():
         "plus-class path must start with H and end with V")
     assert _domain_error(to_plus_class, "HDHVV") == "input must be in the zero class"
     assert _domain_error(to_plus_class, "") == "input must be in the zero class"
+
+
+def test_path_to_tree_reads_back_or_raises_a_pinned_error_on_every_short_word():
+    # Every H/V/D word of length at most 10 either is the reading of a
+    # tree or fails a class check, with one of the messages pinned above.
+    pinned = set(_DIAGONAL_ERRORS.values()) | {
+        "path has a diagonal step on the diagonal", "empty path has no tree"}
+    unbalanced = re.compile(r"unbalanced path: \d+ H steps vs \d+ V steps")
+    parsed = 0
+    for length in range(11):
+        for steps in itertools.product("HVD", repeat=length):
+            try:
+                tree = path_to_tree(steps)
+            except DomainError as err:
+                assert str(err) in pinned or unbalanced.fullmatch(str(err)), steps
+            else:
+                assert tree_to_path(tree) == steps
+                parsed += 1
+    assert parsed == 988
 
 
 def test_from_colored_motzkin_errors_pinned():
