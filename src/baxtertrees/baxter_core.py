@@ -120,9 +120,7 @@ class LinComb:
         return _wrap({e: -c for e, c in self.terms.items()})
 
     def scale(self, coeff) -> "LinComb":
-        coeff = LambdaPoly._coerce(coeff)
-        if coeff is NotImplemented:
-            raise TypeError("scale expects a weight polynomial or int")
+        coeff = _coefficient(coeff)
         if coeff.is_zero:
             return LinComb()
         return _wrap({e: c * coeff for e, c in self.terms.items()})
@@ -192,7 +190,7 @@ def term_text(elem, coeff: LambdaPoly) -> str:
 
 def _coefficient(raw) -> LambdaPoly:
     """``raw`` as a weight polynomial; the one coercion of a given
-    coefficient, shared by `LinComb` and `LinComb.of`."""
+    coefficient, shared by `LinComb`, `LinComb.of` and `LinComb.scale`."""
     c = LambdaPoly._coerce(raw)
     if c is NotImplemented:
         raise TypeError(f"coefficient {raw!r} is not a weight polynomial")
@@ -401,13 +399,16 @@ def lower_root(t: Tree) -> Tree:
     return with_root_label(t, t.label - 1)
 
 
+_MINUS_LAMBDA = -LAMBDA
+
+
 def _beta_term(family: Family, t: Tree) -> tuple[Tree, LambdaPoly]:
     """The operator on one basis tree, as its image tree and coefficient."""
     if t.is_leaf:
         return t, ONE
     if family.j != 2:
         return with_root_label(t, t.label + 1), ONE
-    return with_root_label(t, 1), (-LAMBDA) ** t.label
+    return with_root_label(t, 1), _MINUS_LAMBDA ** t.label
 
 
 def beta(family: Family, t: Tree) -> LinComb:
@@ -566,7 +567,7 @@ def morphism(source: Family, target: Family, t: Tree) -> LinComb:
         t = _erase_angles(t)
     if target.j == 2 and source.j != 2:
         t, excess = _collapse_labels(t)
-        coeff = (-LAMBDA) ** excess
+        coeff = _MINUS_LAMBDA ** excess
     return LinComb.of(t, coeff)
 
 

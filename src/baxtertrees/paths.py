@@ -256,40 +256,54 @@ def classify_path(steps: Sequence[str], kind: str) -> dict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _diagonal_paths(n: int, m: int) -> tuple:
+    """``(all, plus class, zero class)`` of the diagonal paths with m H,
+    m V, n−m D, each canonically ordered, from one enumeration that
+    notes whether a D was taken on the diagonal."""
+    if n < 0 or m < 0 or m > n:
+        return (), (), ()
+    found: list[tuple] = []
+    _grow_diagonal(found, [], 0, m, m, n - m, False)
+    found.sort()
+    plus: list[tuple] = []
+    zero: list[tuple] = []
+    for p, on_diagonal in found:
+        (zero if on_diagonal else plus).append(p)
+    return tuple(p for p, _ in found), tuple(plus), tuple(zero)
+
+
+def _grow_diagonal(found: list, prefix: list, gap: int,
+                   h: int, v: int, d: int, on_diagonal: bool) -> None:
+    """Append ``(path, on_diagonal)`` for every completion of ``prefix``
+    with h more H, v more V and d more D steps; ``gap`` is x − y."""
+    if h == 0 and v == 0 and d == 0:
+        found.append((tuple(prefix), on_diagonal))
+        return
+    if h:
+        prefix.append("H")
+        _grow_diagonal(found, prefix, gap + 1, h - 1, v, d, on_diagonal)
+        prefix.pop()
+    if v and gap:
+        prefix.append("V")
+        _grow_diagonal(found, prefix, gap - 1, h, v - 1, d, on_diagonal)
+        prefix.pop()
+    if d:
+        prefix.append("D")
+        _grow_diagonal(found, prefix, gap, h, v, d - 1, on_diagonal or not gap)
+        prefix.pop()
+
+
 def schroder_paths(n: int, m: int) -> tuple:
     """All diagonal paths with m H, m V, n−m D, canonically ordered."""
-    if n < 0 or m < 0 or m > n:
-        return ()
-    out: list[tuple] = []
-
-    def go(prefix, x, y, h, v, d):
-        if h == 0 and v == 0 and d == 0:
-            out.append(tuple(prefix))
-            return
-        if h:
-            prefix.append("H")
-            go(prefix, x + 1, y, h - 1, v, d)
-            prefix.pop()
-        if v and y + 1 <= x:
-            prefix.append("V")
-            go(prefix, x, y + 1, h, v - 1, d)
-            prefix.pop()
-        if d:
-            prefix.append("D")
-            go(prefix, x + 1, y + 1, h, v, d - 1)
-            prefix.pop()
-
-    go([], 0, 0, m, m, n - m)
-    out.sort()
-    return tuple(out)
+    return _diagonal_paths(n, m)[0]
 
 
 def plus_paths(n: int, m: int) -> tuple:
-    return tuple(p for p in schroder_paths(n, m) if not has_diagonal_double(p))
+    return _diagonal_paths(n, m)[1]
 
 
 def zero_paths(n: int, m: int) -> tuple:
-    return tuple(p for p in schroder_paths(n, m) if has_diagonal_double(p))
+    return _diagonal_paths(n, m)[2]
 
 
 def restricted_paths(n: int, m: int) -> tuple:
@@ -308,24 +322,26 @@ def restricted_zero_paths(n: int, m: int) -> tuple:
 def motzkin_paths(length: int) -> tuple:
     """All mountain paths of the given length, canonically ordered."""
     out: list[tuple] = []
-
-    def go(prefix, h, left):
-        if left == 0:
-            if h == 0:
-                out.append(tuple(prefix))
-            return
-        if h + left >= 1:  # pruning: must be able to return to 0
-            for s in ("D", "H", "U"):
-                nh = h + _step_rise(s)
-                if nh < 0 or nh > left - 1:
-                    continue
-                prefix.append(s)
-                go(prefix, nh, left - 1)
-                prefix.pop()
-
-    go([], 0, length)
+    _grow_mountain(out, [], 0, length)
     out.sort()
     return tuple(out)
+
+
+def _grow_mountain(out: list, prefix: list, h: int, left: int) -> None:
+    """Append every completion of ``prefix``, now at height h, by
+    ``left`` more steps that end on the axis."""
+    if left == 0:
+        if h == 0:
+            out.append(tuple(prefix))
+        return
+    if h + left >= 1:  # pruning: must be able to return to 0
+        for s in ("D", "H", "U"):
+            nh = h + _step_rise(s)
+            if nh < 0 or nh > left - 1:
+                continue
+            prefix.append(s)
+            _grow_mountain(out, prefix, nh, left - 1)
+            prefix.pop()
 
 
 def _color_expansions(path: Sequence[str], color_up: bool) -> Iterable[tuple]:
@@ -403,9 +419,15 @@ def restore_angles(pt: PlanarTree) -> Tree:
 
 
 def _restore(pt: PTree, label: int) -> Tree:
-    """`restore_angles` with root label ``label``, in one pass over the
-    children: the first and last child always stay, and each interior
-    leaf widens the angle before the next child that stays."""
+    """`restore_angles` with root label ``label``, building only the top
+    node: each child's image is read from or kept in its
+    ``PTree._image``.  The first and last child always stay, and each
+    interior leaf widens the angle before the next child that stays.
+    Only a label-1 image is kept, so embedding a product at label 0
+    keeps nothing that its image does not hold."""
+    t = pt._image
+    if t is not None:
+        return with_root_label(t, label)
     kids = pt.children
     last = len(kids) - 1
     children: list[Tree] = []
@@ -421,7 +443,10 @@ def _restore(pt: PTree, label: int) -> Tree:
             angles.append(angle)
             angle = 1
         children.append(c)
-    return Node(label, children, angles)
+    t = Node(label, children, angles)
+    if label == 1:
+        pt._image = t
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +459,17 @@ def tree_to_path(pt: PlanarTree) -> Path:
     if pt.is_leaf:
         raise DomainError("the bare leaf has no path (empty path excluded)")
     steps: list[str] = []
-
-    def walk(node: PlanarTree) -> None:
-        if node.is_leaf:
-            return
-        last = len(node.children) - 1
-        for k, child in enumerate(node.children):
-            steps.append("H" if k == 0 else ("V" if k == last else "D"))
-            walk(child)
-
-    walk(pt)
+    _read_steps(pt, steps)
     return tuple(steps)
+
+
+def _read_steps(node: PTree, steps: list) -> None:
+    """Append the steps of ``node``'s reading to ``steps``."""
+    last = len(node.children) - 1
+    for k, child in enumerate(node.children):
+        steps.append("H" if k == 0 else ("V" if k == last else "D"))
+        if not child.is_leaf:
+            _read_steps(child, steps)
 
 
 def path_to_tree(p: Sequence[str]) -> PlanarTree:
@@ -459,25 +484,25 @@ def path_to_tree(p: Sequence[str]) -> PlanarTree:
         raise DomainError("path has a diagonal step on the diagonal")
     if not p:
         raise DomainError("empty path has no tree")
-    pos = 0
+    return _parse_node(p, 0)[0]
 
-    def parse_node() -> PlanarTree:
-        nonlocal pos
-        pos += 1  # the H
-        children = [parse_child()]
-        while p[pos] == "D":
-            pos += 1
-            children.append(parse_child())
-        pos += 1  # the V
-        children.append(parse_child())
-        return PTree(children)
 
-    def parse_child() -> PlanarTree:
-        if pos < len(p) and p[pos] == "H":
-            return parse_node()
-        return LEAF
+def _parse_node(p: Sequence[str], pos: int) -> tuple:
+    """The tree read from the H at ``pos``, and the position after it."""
+    child, pos = _parse_child(p, pos + 1)  # past the H
+    children = [child]
+    while p[pos] == "D":
+        child, pos = _parse_child(p, pos + 1)
+        children.append(child)
+    child, pos = _parse_child(p, pos + 1)  # past the V
+    children.append(child)
+    return PTree(children), pos
 
-    return parse_node()
+
+def _parse_child(p: Sequence[str], pos: int) -> tuple:
+    if pos < len(p) and p[pos] == "H":
+        return _parse_node(p, pos)
+    return LEAF, pos
 
 
 # ---------------------------------------------------------------------------

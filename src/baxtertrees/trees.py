@@ -76,16 +76,14 @@ def _forget(ref: _InternRef) -> None:
 
 
 def _intern(cls, table: dict, key: tuple):
-    """The live tree stored under ``key`` in ``table``, or else a new
-    ``cls`` entered there.  ``cls._fill`` checks the key and sets a new
-    tree's fields; a key it rejects enters nothing."""
-    ref = table.get(key)
-    t = ref() if ref is not None else None
-    if t is None:
-        t = object.__new__(cls)
-        t._fill(key)
-        ref = table[key] = _InternRef(t, _forget)
-        ref.table, ref.key = table, key
+    """A new ``cls`` entered in ``table`` under ``key``: the one place a
+    tree is made, reached by a constructor whose lookup found no live
+    tree.  ``cls._fill`` checks the key and sets the new tree's fields; a
+    key it rejects enters nothing."""
+    t = object.__new__(cls)
+    t._fill(key)
+    ref = table[key] = _InternRef(t, _forget)
+    ref.table, ref.key = table, key
     return t
 
 
@@ -139,7 +137,11 @@ class Node:
     is_leaf = False
 
     def __new__(cls, label: int, children: Sequence["Tree"], angles: Sequence[int]):
-        return _intern(cls, _DECORATED, (label, tuple(children), tuple(angles)))
+        key = (label, tuple(children), tuple(angles))
+        ref = _DECORATED.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        return _intern(cls, _DECORATED, key)
 
     def _fill(self, key: tuple) -> None:
         label, children, angles = key
@@ -505,14 +507,22 @@ class PTree:
     """An unlabeled planar rooted tree node (>= 2 children, any of which
     may be leaves).  The leaf is the shared `LEAF` singleton.  Planar
     trees are hash-consed like decorated ones (see `_intern`).
+
+    ``_image`` holds the tree's decorated image with root label 1 once
+    `paths.restore_angles` has built it, so the image lives exactly as
+    long as the planar tree.
     """
 
-    __slots__ = ("children", "_key", "__weakref__")
+    __slots__ = ("children", "_key", "_image", "__weakref__")
 
     is_leaf = False
 
     def __new__(cls, children: Sequence["PlanarTree"]):
-        return _intern(cls, _PLANAR, tuple(children))
+        key = tuple(children)
+        ref = _PLANAR.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        return _intern(cls, _PLANAR, key)
 
     def _fill(self, children: tuple) -> None:
         if len(children) < 2:
@@ -520,6 +530,7 @@ class PTree:
                 f"a planar node needs at least 2 children, got {len(children)}")
         self.children = children
         self._key = None
+        self._image = None
 
     def sort_key(self):
         if self._key is None:

@@ -117,6 +117,12 @@ def test_lincomb_rejects_a_coefficient_that_is_no_polynomial():
         LinComb.of(a, 1.5)
     assert str(info.value) == message
     with pytest.raises(TypeError) as info:
+        LinComb.of(a).scale(1.5)
+    assert str(info.value) == message
+    with pytest.raises(TypeError) as info:
+        LinComb.of(a) * 1.5
+    assert str(info.value) == message
+    with pytest.raises(TypeError) as info:
         LinComb.of(a, "l")
     assert str(info.value) == "coefficient 'l' is not a weight polynomial"
 

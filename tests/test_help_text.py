@@ -16,10 +16,13 @@ import contextlib
 import io
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import baxtertrees
 from baxtertrees.cli import main
 
 FIXTURE = Path(__file__).with_name("help_text.txt")
@@ -103,6 +106,19 @@ def test_fixture_covers_every_case():
 def test_help_and_usage_text_is_unchanged(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert render(argv, *capture(argv)) == recorded()[head(argv)]
+
+
+def test_python_dash_m_prints_the_top_level_help():
+    src = str(Path(baxtertrees.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = ["--help"]
+    done = subprocess.run([sys.executable, "-m", "baxtertrees", *argv],
+                          capture_output=True, encoding="utf-8", env=env,
+                          timeout=60)
+    assert (render(argv, done.returncode, done.stdout, done.stderr)
+            == recorded()[head(argv)])
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import weakref
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,7 +44,9 @@ from baxtertrees.trees import (
     enumerate_positive_root,
     enumerate_trees,
     enumerate_zero_root,
+    parse_planar,
     parse_tree,
+    planar_trees,
 )
 
 import pytest
@@ -117,6 +120,19 @@ def test_plus_and_zero_classes_partition():
             assert all(not has_diagonal_double(p) for p in ps)
 
 
+def test_plus_and_zero_classes_keep_the_canonical_order():
+    for n in range(6):
+        for m in range(n + 1):
+            paths = schroder_paths(n, m)
+            assert list(paths) == sorted(paths)
+            assert plus_paths(n, m) == tuple(
+                p for p in paths if not has_diagonal_double(p))
+            assert zero_paths(n, m) == tuple(
+                p for p in paths if has_diagonal_double(p))
+    for n, m in ((-1, 0), (2, 3), (2, -1)):
+        assert schroder_paths(n, m) == plus_paths(n, m) == zero_paths(n, m) == ()
+
+
 def test_path_class_totals():
     for n in range(1, 7):
         full = sum(len(schroder_paths(n, m)) for m in range(n + 1))
@@ -171,6 +187,20 @@ def test_strip_restore_round_trip():
                 assert restore_angles(strip_angles(tree)) == tree
     with pytest.raises(DomainError):
         strip_angles(t("0(. 1 .)"))
+
+
+def test_restore_angles_returns_the_image_its_tree_keeps():
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            for pt in planar_trees(n, m):
+                assert restore_angles(pt) is restore_angles(pt)
+    # Thirteen leaves: no memo of the test run holds this tree.
+    pt = parse_planar("(. . . . . . (. . . . .) . .)")
+    image = weakref.ref(restore_angles(pt))
+    assert image() is restore_angles(pt)
+    assert str(image()) == "1(. 6 1(. 4 .) 2 .)"
+    del pt
+    assert image() is None
 
 
 def test_worked_shape_reading():

@@ -336,23 +336,28 @@ def clear_memos():
     gc.collect()
 
 
-def test_planar_table_frees_the_trees_of_a_suite():
+def assert_table_frees_the_trees_of(table: dict, suite: str) -> None:
+    """Every tree ``suite`` adds to ``table`` is gone once the memo
+    tables are cleared; the trees alive before are held meanwhile."""
     clear_memos()
-    before = [ref() for ref in trees._PLANAR.values()]
-    assert verify.run_suite("dendriform", "quick").ok
-    assert len(trees._PLANAR) > len(before)
+    before = [ref() for ref in table.values()]
+    assert verify.run_suite(suite, "quick").ok
+    assert len(table) > len(before)
     clear_memos()
-    after = [ref() for ref in trees._PLANAR.values()]
+    after = [ref() for ref in table.values()]
     assert None not in after
-    assert {id(pt) for pt in after} <= {id(pt) for pt in before}
+    assert {id(t) for t in after} <= {id(t) for t in before}
 
 
 def test_decorated_table_frees_the_trees_of_a_suite():
-    clear_memos()
-    before = [ref() for ref in trees._DECORATED.values()]
-    assert verify.run_suite("identities", "quick").ok
-    assert len(trees._DECORATED) > len(before)
-    clear_memos()
-    after = [ref() for ref in trees._DECORATED.values()]
-    assert None not in after
-    assert {id(t) for t in after} <= {id(t) for t in before}
+    assert_table_frees_the_trees_of(trees._DECORATED, "identities")
+
+
+def test_decorated_table_frees_the_planar_images_of_a_suite():
+    # The dendriform suite embeds planar trees; each keeps its image
+    # only as long as the planar tree itself lives.
+    assert_table_frees_the_trees_of(trees._DECORATED, "dendriform")
+
+
+def test_planar_table_frees_the_trees_of_a_suite():
+    assert_table_frees_the_trees_of(trees._PLANAR, "dendriform")

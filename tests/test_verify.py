@@ -1,5 +1,7 @@
 """Self-check driver: suite registry, budgets, and result bookkeeping."""
 
+import gc
+
 from baxtertrees.dendriform import dend_op
 from baxtertrees.errors import DomainError
 from baxtertrees.trees import binary_trees
@@ -31,6 +33,48 @@ def test_quick_examples_suite_passes():
     assert r.ok and r.failed == 0 and r.passed > 0
     assert r.suite == "examples"
     assert all(c.ok for c in r.checks)
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_leaves_no_cyclic_garbage(name):
+    # The census behind pausing the collector: with it off, a suite
+    # builds no reference cycles, so a collection afterwards finds none.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_suite(name, budget="quick").ok
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_suite_pauses_the_collector_and_puts_it_back(monkeypatch, enabled):
+    seen = []
+
+    def suite(bounds, rec, rng):
+        seen.append(gc.isenabled())
+
+    def failing(bounds, rec, rng):
+        seen.append(gc.isenabled())
+        raise RuntimeError("suite failed")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setitem(SUITES, "examples", suite)
+        run_suite("examples", budget="quick")
+        after_run = gc.isenabled()
+        monkeypatch.setitem(SUITES, "examples", failing)
+        with pytest.raises(RuntimeError, match="suite failed"):
+            run_suite("examples", budget="quick")
+        after_raise = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+    assert after_run is enabled and after_raise is enabled
 
 
 def test_run_suites_subset_order():
