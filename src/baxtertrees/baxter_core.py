@@ -86,10 +86,6 @@ class LinComb:
         c = _coefficient(coeff)
         return _wrap({} if c.is_zero else {elem: c})
 
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -556,7 +552,7 @@ def morphism(source: Family, target: Family, t: Tree) -> LinComb:
     1; dropping the node flag sends positive labels to 1 and converts
     each unit of removed label into a factor of minus the weight.
     """
-    if not (target.i <= source.i and target.j <= source.j):
+    if not target <= source:
         raise DomainError(
             f"no quotient map from family ({source.text}) to ({target.text})"
         )

@@ -37,7 +37,8 @@ from .paths import (
     schroder_params, to_colored_motzkin, to_plus_class, to_zero_class,
 )
 from .trees import (
-    Family, enumerate_trees, parse_family, parse_planar, parse_tree, validate,
+    Family, enumerate_trees, parse_family, parse_planar, parse_tree,
+    require_valid,
 )
 from .verify import BUDGETS, DEFAULT_SEED, SUITES, run_suites
 
@@ -91,16 +92,10 @@ def _emit_lincomb(v: LinComb, fmt: str) -> None:
         print(v)
 
 
-def _check_tree(family: Family, t) -> None:
-    problems = validate(family, t)
-    if problems:
-        raise DomainError(f"{t}: " + "; ".join(problems))
-
-
 def _checked_tree_comb(family: Family, text: str) -> LinComb:
     v = tree_lincomb_parser(text)
     for t in v.support():
-        _check_tree(family, t)
+        require_valid(family, t)
     return v
 
 
@@ -267,7 +262,7 @@ def _cmd_morphism(args) -> int:
 def _cmd_decompose_check(args) -> int:
     fam = args.family
     t = parse_tree(args.tree)
-    _check_tree(fam, t)
+    require_valid(fam, t)
     power, pieces, angles = decompose(t)
     rebuilt = recompose(fam, power, pieces, angles)
     ok = rebuilt == LinComb.of(t)
@@ -401,9 +396,7 @@ _COMMANDS = (
      [("--max-n", dict(type=int, default=8)),
       ("--max-m", dict(type=int, default=8)), _FAMILY, _FORMAT]),
     ("tree-to-path", "encode a tree as a diagonal path", _cmd_tree_to_path,
-     [("tree", {}),
-      ("--via", dict(choices=("strip",), default="strip",
-                     help="conversion route (angle stripping)")), _FORMAT]),
+     [("tree", {}), _FORMAT]),
     ("path-to-tree", "decode a diagonal path", _cmd_path_to_tree,
      [("path", {}), _FORMAT]),
     ("t-map", "trade between the plus and zero diagonal classes", _cmd_t_map,

@@ -16,7 +16,9 @@ algebras of weight -1.  Its value on a basis tree has the closed form
 
 where d is the angle degree of a subtree and the a_k are the root
 angles.  The same value falls out of the universal-property recursion,
-and both routes are implemented so tests can compare them.
+and both routes are implemented so tests can compare them.  Tree facts
+come from `trees`: angle degrees from `bidegree`, which reads them from
+the tree's cached sort key, and rule violations from `require_valid`.
 
 Two basis trees are declared related when root labels agree and, for
 root 0, the child count, the per-child angle degrees, and the angle
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence, Union
 from .baxter_core import LinComb
 from .errors import DomainError, ParseError
 from .scan import Cursor
-from .trees import INF, Family, Node, Tree, bidegree, validate
+from .trees import INF, Family, Node, Tree, bidegree, require_valid
 
 __all__ = [
     "Word", "parse_word", "render_word", "word_variant",
@@ -229,33 +231,22 @@ def _family_for(variant: str) -> Family:
     return Family(INF, 2) if variant == "infinity" else Family(2, 2)
 
 
-def _angle_degree(t: Tree) -> int:
-    return 0 if t.is_leaf else bidegree(t)[0]
-
-
-def _checked(variant: str, t: Tree) -> Tree:
-    problems = validate(_family_for(variant), t)
-    if problems:
-        raise DomainError("tree not valid for this variant: " + "; ".join(problems))
-    return t
-
-
 def pi_word(variant: str, t: Tree) -> Word:
     """Closed-form projection of one basis tree (empty for the unit)."""
     variant = word_variant(variant)
     if t.is_leaf:
         return Word((), variant)
-    _checked(variant, t)
+    require_valid(_family_for(variant), t, "tree not valid for this variant")
     return _pi_formula(variant, t)
 
 
 def _pi_formula(variant: str, t: Tree) -> Word:
     if t.label > 0:
-        letters: Sequence[int] = (1,) * _angle_degree(t)
+        letters: Sequence[int] = (1,) * bidegree(t)[0]
     else:
         out: list[int] = []
         for k, child in enumerate(t.children):
-            out.extend([1] * _angle_degree(child))
+            out.extend([1] * bidegree(child)[0])
             if k < len(t.angles):
                 out.extend([0] * t.angles[k])
         letters = out
@@ -270,7 +261,7 @@ def pi_word_recursive(variant: str, t: Tree) -> Word:
     variant = word_variant(variant)
     if t.is_leaf:
         return Word((), variant)
-    _checked(variant, t)
+    require_valid(_family_for(variant), t, "tree not valid for this variant")
     return _pi_recursive(variant, t)
 
 
@@ -312,8 +303,8 @@ def pi_map(variant: str, v: Union[Tree, LinComb]) -> LinComb:
 
 def _tilde_signature(t: Tree):
     if t.label > 0:
-        return (t.label, _angle_degree(t))
-    return (0, tuple(_angle_degree(c) for c in t.children), t.angles)
+        return (t.label, bidegree(t)[0])
+    return (0, tuple(bidegree(c)[0] for c in t.children), t.angles)
 
 
 def tilde_equiv(t: Tree, s: Tree) -> bool:
@@ -321,13 +312,8 @@ def tilde_equiv(t: Tree, s: Tree) -> bool:
     structural conditions and confirmed against word equality."""
     fam = Family(INF, 2)
     for u in (t, s):
-        problems = validate(fam, u)
-        if problems:
-            raise DomainError("tree not valid: " + "; ".join(problems))
-    if t.is_leaf or s.is_leaf:
-        structural = t.is_leaf and s.is_leaf
-    else:
-        structural = _tilde_signature(t) == _tilde_signature(s)
+        require_valid(fam, u, "tree not valid")  # rejects the bare leaf
+    structural = _tilde_signature(t) == _tilde_signature(s)
     words = pi_word("infinity", t) == pi_word("infinity", s)
     if structural != words:
         raise DomainError(

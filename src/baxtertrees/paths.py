@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ParseError
 from .trees import (
     LEAF, Family, Node, PTree, PlanarTree, Tree,
-    bidegree, parse_family, validate, with_root_label,
+    bidegree, parse_family, require_valid, with_root_label,
 )
 
 __all__ = [
@@ -392,9 +392,7 @@ def strip_angles(t: Tree) -> PlanarTree:
     """Forget decorations: each angle label j becomes j−1 interior
     leaves.  Input must be valid with forced node labels and positive
     root (raise the root of a root-0 tree first)."""
-    problems = validate(_INF2, t)
-    if problems:
-        raise DomainError("not a valid forced-label tree: " + "; ".join(problems))
+    require_valid(_INF2, t, "not a valid forced-label tree")
     if t.label == 0:
         raise DomainError("root label 0: raise the root before stripping")
     return _strip(t)
@@ -611,9 +609,7 @@ def _rewrite_pairs(pairs: Sequence[tuple[str, str]]) -> tuple:
 def to_colored_motzkin(t: Tree) -> Path:
     """Encode a forced-label tree with root label 1 as a colored
     mountain path of length (angle degree − 1)."""
-    problems = validate(_22, t)
-    if problems:
-        raise DomainError("not a valid fully-forced tree: " + "; ".join(problems))
+    require_valid(_22, t, "not a valid fully-forced tree")
     if t.label != 1:
         raise DomainError("root label must be 1 (raise a root-0 tree first)")
     p = tree_to_path(_strip(t))  # valid in 2,2 with root 1: strippable

@@ -21,7 +21,14 @@ labels, sum of internal-node labels).
 
 This module also houses the unlabeled planar rooted trees (every internal
 node has at least two children, interior leaves allowed) used by the
-dendriform structures and the path bijections.
+dendriform structures and the path bijections, and the binary trees
+among them, built by their own two-child grammar.
+
+It is the one module that answers questions about a tree's shape.  Each
+tree caches its degrees at the head of its sort key (`tree_sort_key`
+serves both kinds), so `bidegree` and `is_binary` read them without a
+walk, and `require_valid` is the one place a rule violation becomes a
+`DomainError`.
 """
 
 from __future__ import annotations
@@ -36,11 +43,12 @@ from .scan import Cursor, int_text
 __all__ = [
     "Leaf", "LEAF", "Node", "Tree", "Family",
     "FAMILIES", "parse_family", "bidegree", "validate", "is_valid",
+    "require_valid",
     "parse_tree", "render_tree", "tree_sort_key",
     "enumerate_trees", "enumerate_zero_root", "enumerate_positive_root",
     "count_trees",
     "PTree", "PlanarTree", "parse_planar", "render_planar",
-    "planar_trees", "binary_trees", "planar_sort_key", "is_binary",
+    "planar_trees", "binary_trees", "is_binary",
 ]
 
 INF = float("inf")
@@ -196,7 +204,7 @@ def with_root_label(t: Node, label: int) -> Node:
     return Node(label, t.children, t.angles)
 
 
-def tree_sort_key(t: Tree):
+def tree_sort_key(t: "Tree | PlanarTree"):
     return t.sort_key()
 
 
@@ -264,16 +272,12 @@ FAMILIES = (Family(2, 2), Family(2, INF), Family(INF, 2), Family(INF, INF))
 # ---------------------------------------------------------------------------
 
 def bidegree(t: Tree) -> tuple[int, int]:
-    """(angle degree, node degree): sums of angle and node labels."""
+    """(angle degree, node degree): sums of angle and node labels, read
+    from the negated total and node degrees that lead the sort key."""
     if t.is_leaf:
         return (0, 0)
-    n = sum(t.angles)
-    m = t.label
-    for child in t.children:
-        cn, cm = bidegree(child)
-        n += cn
-        m += cm
-    return (n, m)
+    total, m = t.sort_key()[:2]
+    return (m - total, -m)
 
 
 def validate(family: Family, t: Tree, _root: bool = True) -> list[str]:
@@ -314,6 +318,15 @@ def validate(family: Family, t: Tree, _root: bool = True) -> list[str]:
 
 def is_valid(family: Family, t: Tree) -> bool:
     return not validate(family, t)
+
+
+def require_valid(family: Family, t: Tree, what: str | None = None) -> Tree:
+    """``t`` if it is valid in ``family``; otherwise a `DomainError` that
+    names ``what`` (by default the tree itself), then every problem."""
+    problems = validate(family, t)
+    if problems:
+        raise DomainError(f"{t if what is None else what}: " + "; ".join(problems))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +572,6 @@ class PTree:
 PlanarTree = Union[Leaf, PTree]
 
 
-def planar_sort_key(t: PlanarTree):
-    return t.sort_key()
-
-
 def render_planar(t: PlanarTree) -> str:
     """Compact form: ``.`` for a leaf, ``(c1 c2 ...)`` for a node."""
     if t.is_leaf:
@@ -626,7 +635,7 @@ def _planar_by_size(leaves: int, nodes: int) -> tuple:
     for k in range(2, leaves + 1):
         for forest in _planar_forests(leaves, nodes - 1, k):
             out.append(PTree(forest))
-    out.sort(key=planar_sort_key)
+    out.sort(key=tree_sort_key)
     return tuple(out)
 
 
@@ -635,14 +644,26 @@ def planar_trees(n: int, m: int) -> tuple:
     return _planar_by_size(n + 1, m)
 
 
+@lru_cache(maxsize=None)
 def binary_trees(n: int) -> tuple:
-    """Planar binary trees with n internal nodes (n + 1 leaves): a planar
-    tree with one leaf more than it has nodes is binary, since every node
-    has at least two children."""
-    return planar_trees(n, n)
+    """Planar binary trees with n internal nodes (n + 1 leaves), by their
+    grammar: a leaf, or a node over a left tree of k nodes and a right
+    tree of n - 1 - k.  Taking k from n - 1 down to 0 gives the order of
+    `planar_trees(n, n)`, since a smaller left subtree has a larger sort
+    key and the leaf the largest."""
+    if n == 0:
+        return (LEAF,)
+    return tuple(PTree((left, right))
+                 for k in range(n - 1, -1, -1)
+                 for left in binary_trees(k)
+                 for right in binary_trees(n - 1 - k))
 
 
 def is_binary(t: PlanarTree) -> bool:
+    """Whether every node has two children, read from the sort key: every
+    node has at least two children, so a planar tree is binary exactly
+    when it has one leaf more than it has nodes."""
     if t.is_leaf:
         return True
-    return len(t.children) == 2 and all(is_binary(c) for c in t.children)
+    total, nodes = t.sort_key()[:2]  # negated (leaves - 1 + nodes), nodes
+    return total == 2 * nodes

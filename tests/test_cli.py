@@ -101,9 +101,7 @@ def test_enumerate_lists_and_counts(capsys):
 # -- paths ------------------------------------------------------------------
 
 def test_tree_to_path_pinned(capsys):
-    code, out, _ = run(
-        capsys, "tree-to-path", "1(. 1 1(. 1 .) 1 1(. 1 .))", "--via", "strip"
-    )
+    code, out, _ = run(capsys, "tree-to-path", "1(. 1 1(. 1 .) 1 1(. 1 .))")
     assert code == EXIT_OK
     assert out.strip() == "HDHVVHV"
 

@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 import baxtertrees
 from baxtertrees import trees, verify
 from baxtertrees.baxter_core import circle, graft
+from baxtertrees.cli import EXIT_DOMAIN, main
 from baxtertrees.dendriform import dend_op, embed_dialgebra, embed_trialgebra
 from baxtertrees.errors import DomainError, ParseError
-from baxtertrees.paths import _strip, path_to_tree, restore_angles, tree_to_path
+from baxtertrees.monomial import pi_word, tilde_equiv
+from baxtertrees.paths import (
+    _strip, path_to_tree, restore_angles, strip_angles, to_colored_motzkin,
+    tree_to_path,
+)
 from baxtertrees.trees import (
     FAMILIES,
     LEAF,
@@ -206,6 +211,45 @@ def test_binary_inside_planar():
     assert fours <= set(planar_trees(3, 3))
 
 
+def walked_bidegree(t):
+    """(angle degree, node degree) by a walk over every node."""
+    if t.is_leaf:
+        return (0, 0)
+    n, m = sum(t.angles), t.label
+    for child in t.children:
+        cn, cm = walked_bidegree(child)
+        n, m = n + cn, m + cm
+    return (n, m)
+
+
+def walked_is_binary(t):
+    return t.is_leaf or (len(t.children) == 2
+                         and all(walked_is_binary(c) for c in t.children))
+
+
+def test_bidegree_matches_a_walk_over_every_node():
+    seen = 0
+    for family in FAMILIES:
+        for t in all_trees(family, 6):
+            assert bidegree(t) == walked_bidegree(t)
+            seen += 1
+    assert bidegree(LEAF) == walked_bidegree(LEAF) == (0, 0)
+    assert seen > 10_000
+
+
+def test_is_binary_matches_a_walk_over_every_node():
+    planar = [t for n in range(7) for m in range(n + 1) for t in planar_trees(n, m)]
+    assert len(planar) == sum((1, 1, 3, 11, 45, 197, 903))
+    assert sum(map(is_binary, planar)) == sum((1, 1, 2, 5, 14, 42, 132))
+    for t in planar:
+        assert is_binary(t) == walked_is_binary(t)
+
+
+def test_binary_trees_match_the_planar_enumeration_in_order():
+    for n in range(9):
+        assert binary_trees(n) == planar_trees(n, n)
+
+
 @given(st.integers(0, 4))
 def test_planar_render_round_trip(n):
     for m in range(n + 1):
@@ -361,3 +405,38 @@ def test_decorated_table_frees_the_planar_images_of_a_suite():
 
 def test_planar_table_frees_the_trees_of_a_suite():
     assert_table_frees_the_trees_of(trees._PLANAR, "dendriform")
+
+
+# -- validation messages ----------------------------------------------------
+#
+# Every module that rejects an invalid tree names the input, then lists
+# every problem; these pin the text byte for byte.
+
+def test_cli_names_the_invalid_tree_and_every_problem(capsys):
+    assert main(["beta", "--family", "2,2", "2(. 3 0(. 1 .))"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "domain error: 2(. 3 0(. 1 .)): label-range: root label 2 not in "
+        "{0, 1}; label-range: angle label 3 must be 1; R3: non-root internal "
+        "node labeled 0\n"
+    )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: strip_angles(parse_tree("2(. 3 0(. 1 .))")),
+     "not a valid forced-label tree: label-range: root label 2 not in "
+     "{0, 1}; R3: non-root internal node labeled 0"),
+    (lambda: to_colored_motzkin(parse_tree("1(. 2 2(. 1 .))")),
+     "not a valid fully-forced tree: label-range: angle label 2 must be 1; "
+     "label-range: non-root label 2 must be 1"),
+    (lambda: pi_word("two", parse_tree("0(. 2 .)")),
+     "tree not valid for this variant: label-range: angle label 2 must be 1"),
+    (lambda: tilde_equiv(parse_tree("0(. 1 .)"), parse_tree("0(. 1 2(. 1 .))")),
+     "tree not valid: label-range: non-root label 2 must be 1"),
+    (lambda: tilde_equiv(LEAF, LEAF),
+     "tree not valid: leaf: the bare leaf is not an algebra basis element"),
+], ids=["strip_angles", "to_colored_motzkin", "pi_word", "tilde_equiv",
+        "tilde_equiv-leaf"])
+def test_library_names_the_invalid_tree_and_every_problem(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
