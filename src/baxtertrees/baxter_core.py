@@ -20,6 +20,9 @@ Inside ``circle`` and ``star`` the operator is applied term by term, as
 one tree and one coefficient (``_beta_term``); no intermediate
 combination is built.  ``star`` merges its three products through
 ``addmul``, and ``circle`` stores each term, since no two collide.
+A memo miss of either runs with Python's cyclic collector paused
+(`_collector_paused`): the memo tables hold no reference cycles, so a
+collector pass would only walk them.
 
 The two recursions terminate together: each pass through the seam
 strictly shrinks the total of node and angle degrees, because taking an
@@ -34,7 +37,8 @@ into corner trees and root-raised pieces.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import gc
+from functools import lru_cache, wraps
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -430,7 +434,31 @@ def beta_lc(family: Family, u: LinComb) -> LinComb:
 # Products
 # ---------------------------------------------------------------------------
 
+def _collector_paused(f: Callable) -> Callable:
+    """``f``, a function of three positional arguments, run with the
+    cyclic garbage collector paused, then put back as it was, also when
+    ``f`` raises; a call made while it is already paused adds nothing.
+
+    The library builds no reference cycles (its trees and memo tables
+    are freed by reference counting), so a collector pass would only walk
+    the memo tables and find nothing.  Placed under an ``lru_cache``, the
+    pause runs only on a miss.  The arguments are named rather than
+    packed, so that the call into ``f`` builds no tuple and runs inline:
+    it is on the path of every memo miss."""
+    @wraps(f)
+    def paused(a, b, c):
+        if not gc.isenabled():
+            return f(a, b, c)
+        gc.disable()
+        try:
+            return f(a, b, c)
+        finally:
+            gc.enable()
+    return paused
+
+
 @lru_cache(maxsize=None)
+@_collector_paused
 def circle(family: Family, t: Tree, s: Tree) -> LinComb:
     """The multiplication, on a pair of basis trees (or leaves).
 
@@ -478,6 +506,7 @@ def circle(family: Family, t: Tree, s: Tree) -> LinComb:
 
 
 @lru_cache(maxsize=None)
+@_collector_paused
 def star(family: Family, u: Tree, v: Tree) -> LinComb:
     """The double product on basis trees; the leaf is its unit.
 

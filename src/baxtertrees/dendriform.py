@@ -180,11 +180,14 @@ def rb_dendriform(
 def _embed_tree(pt: PlanarTree) -> Tree:
     if pt.is_leaf:
         raise DomainError("the bare leaf has no decorated image")
+    if not isinstance(pt, PTree):
+        raise DomainError("expected a planar tree basis element")
     return _restore(pt, 0)
 
 
 def _embed_binary_tree(pt: PlanarTree) -> Tree:
-    if not is_binary(pt):  # true of the leaf, which _embed_tree rejects
+    # _embed_tree rejects the leaf and any tree that is not planar
+    if isinstance(pt, PTree) and not is_binary(pt):
         raise DomainError("dialgebra elements must be binary trees")
     return _embed_tree(pt)
 

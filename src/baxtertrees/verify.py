@@ -16,16 +16,15 @@ exhaustive sweeps; all exhaustive bounds are fixed by the budget.
 
 from __future__ import annotations
 
-import gc
 import random
 import time
 from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .baxter_core import (
-    LinComb, beta, beta_lc, circle, circle_lc, circle_power, decompose,
-    degraft, generator, graft, morphism, morphism_lc, recompose, star,
-    star_lc, tree_lincomb_parser,
+    LinComb, _collector_paused, beta, beta_lc, circle, circle_lc,
+    circle_power, decompose, degraft, generator, graft, morphism,
+    morphism_lc, recompose, star, star_lc, tree_lincomb_parser,
 )
 from .counting import (
     BiSeries, binomial_transform, binomial_transform_table, catalan,
@@ -1038,9 +1037,7 @@ def run_suite(name: str, budget: str = "desk", seed: int = DEFAULT_SEED) -> Suit
     """Run one named suite and collect its check results.
 
     The cyclic garbage collector is paused while the suite runs and then
-    put back as it was: the library builds no reference cycles (its
-    trees and memo tables are freed by reference counting), so a
-    collector pass would only walk the memo tables and find nothing."""
+    put back as it was (`_collector_paused`)."""
     if name not in SUITES:
         raise DomainError(
             f"unknown suite {name!r}; available: {', '.join(SUITES)}"
@@ -1051,15 +1048,9 @@ def run_suite(name: str, budget: str = "desk", seed: int = DEFAULT_SEED) -> Suit
         )
     rec = _Recorder()
     rng = random.Random(seed)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        SUITES[name](_BOUNDS[budget], rec, rng)
-        elapsed = time.perf_counter() - start
-    finally:
-        if collecting:
-            gc.enable()
+    start = time.perf_counter()
+    _collector_paused(SUITES[name])(_BOUNDS[budget], rec, rng)
+    elapsed = time.perf_counter() - start
     return SuiteResult(name, rec.checks, elapsed)
 
 

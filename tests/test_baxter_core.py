@@ -1,12 +1,14 @@
 """Linear combinations, the distinguished operator, products, morphisms."""
 
+import gc
 import itertools
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baxtertrees import dendriform
+from baxtertrees import baxter_core, dendriform
 from baxtertrees.baxter_core import (
     LinComb,
     addmul,
@@ -533,18 +535,118 @@ def test_star_matches_the_double_product_of_the_operator():
             assert star(family, a, b) == want, (family, a, b)
 
 
-def test_products_reject_a_root_zero_piece_with_grafts_message():
-    message = "graft subtrees must be leaves or have positive root label"
+def root_zero_piece_cases():
     zero = Node(0, (LEAF, LEAF), (1,))  # root 0 where only leaves or positive roots belong
     x = t("1(. 1 .)")
-    cases = [
+    return [
         (Node(0, (zero, LEAF), (1,)), generator(FII)),  # the meeting pieces are leaves
         (Node(0, (zero, x), (2,)), x),                   # the raised middle is a node
         (x, Node(0, (x, zero), (1,))),                   # the piece follows the seam
     ]
+
+
+def test_products_reject_a_root_zero_piece_with_grafts_message():
+    message = "graft subtrees must be leaves or have positive root label"
     for family in (FII, FI2):
-        for a, b in cases:
+        for a, b in root_zero_piece_cases():
             with pytest.raises(DomainError, match=message):
                 circle(family, a, b)
             with pytest.raises(DomainError, match=message):
                 circle_lc(family, LinComb.of(a), LinComb.of(b))
+
+
+# -- the paused collector ---------------------------------------------------
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector switched on or off for the test, then put back."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def cold_products():
+    """Empty `circle` and `star` memo tables, emptied again afterwards."""
+    circle.cache_clear()
+    star.cache_clear()
+    yield
+    circle.cache_clear()
+    star.cache_clear()
+
+
+@pytest.mark.parametrize("product", [circle, star], ids=["circle", "star"])
+def test_products_put_the_collector_back(collector, cold_products, product):
+    x = t("0(1(. 1 .) 2 .)")
+    product(FII, x, x)
+    assert gc.isenabled() is collector
+    for a, b in root_zero_piece_cases():
+        with pytest.raises(DomainError):
+            product(FII, a, b)
+        assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("product, probed", [(circle, "degraft"), (star, "_beta_term")],
+                         ids=["circle", "star"])
+def test_a_product_miss_runs_with_the_collector_paused(monkeypatch, collector,
+                                                       cold_products, product, probed):
+    # The probe is a helper the product calls from its own body.
+    seen = []
+    inner = getattr(baxter_core, probed)
+
+    def probe(*args):
+        seen.append(gc.isenabled())
+        return inner(*args)
+
+    monkeypatch.setattr(baxter_core, probed, probe)
+    x = t("0(1(. 1 .) 2 .)")
+    product(FII, x, x)
+    assert seen and not any(seen)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("product", [circle, star], ids=["circle", "star"])
+def test_the_pause_runs_on_a_miss_only(cold_products, product):
+    # The pause sits under the memo: a miss enters it and the product's
+    # body, a hit enters neither.
+    paused = product.__wrapped__
+    own = {paused.__code__, paused.__wrapped__.__code__}
+
+    def entered():
+        codes = set()
+        sys.setprofile(lambda frame, event, arg:
+                       event == "call" and codes.add(frame.f_code))
+        try:
+            product(FII, x, x)
+        finally:
+            sys.setprofile(None)
+        return codes & own
+
+    x = t("0(1(. 1 .) 2 .)")
+    assert entered() == own
+    assert entered() == set()
+
+
+def test_direct_products_leave_no_cyclic_garbage(cold_products):
+    # The census behind pausing the collector in circle and star: with it
+    # off, cold sweeps of both products build no reference cycles, and
+    # neither does emptying their memo tables.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for family in FAMILIES:
+            pool = [tree for n in range(1, 5) for m in range(5 - n)
+                    for tree in enumerate_trees(family, n, m)]
+            for a, b in itertools.product(pool, repeat=2):
+                circle(family, a, b)
+                star(family, a, b)
+        assert circle.cache_info().currsize and star.cache_info().currsize
+        assert gc.collect() == 0
+        circle.cache_clear()
+        star.cache_clear()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

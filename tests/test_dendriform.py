@@ -320,6 +320,17 @@ def test_embedding_rejects_bad_input():
         embed_dialgebra(p("(. . .)"))
 
 
+@pytest.mark.parametrize("embed", [embed_trialgebra, embed_dialgebra])
+def test_embeddings_reject_a_decorated_tree(embed):
+    for text in ("1(. 1 .)", "0(. 1 .)"):
+        decorated = parse_tree(text)
+        for x in (decorated, LinComb(decorated), LinComb(p("(. .)")) + LinComb(decorated)):
+            with pytest.raises(DomainError, match="^expected a planar tree basis element$"):
+                embed(x)
+    with pytest.raises(DomainError, match="^the bare leaf has no decorated image$"):
+        embed(LEAF)
+
+
 # -- dimensions -------------------------------------------------------------
 
 def test_dt_dim_counts_planar_trees():

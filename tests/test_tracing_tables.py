@@ -6,8 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from baxtertrees.baxter_core import LinComb
+from baxtertrees import baxter_core
+from baxtertrees.baxter_core import LinComb, generator
 from baxtertrees.scalars import LambdaPoly
+from baxtertrees.trees import FAMILIES
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -54,3 +56,12 @@ def test_memo_tables_read_by_name_exist():
         assert callable(getattr(table, "cache_info", None)), key
         assert callable(getattr(table, "cache_clear", None)), key
         assert table.__module__ == module.__name__, key
+    # The harness empties the tables through cache_clear before each
+    # iteration; it must empty what the products fill.
+    products = (baxter_core.circle, baxter_core.star)
+    gen = generator(FAMILIES[0])
+    baxter_core.star(FAMILIES[0], gen, gen)
+    assert all(f.cache_info().currsize for f in products)
+    for f in products:
+        f.cache_clear()
+    assert [f.cache_info().currsize for f in products] == [0, 0]
