@@ -20,9 +20,9 @@ Inside ``circle`` and ``star`` the operator is applied term by term, as
 one tree and one coefficient (``_beta_term``); no intermediate
 combination is built.  ``star`` merges its three products through
 ``addmul``, and ``circle`` stores each term, since no two collide.
-A memo miss of either runs with Python's cyclic collector paused
-(`_collector_paused`): the memo tables hold no reference cycles, so a
-collector pass would only walk them.
+Each call of either runs with Python's cyclic collector paused
+(`_collector_paused`), its memo lookup included: the memo tables hold
+no reference cycles, so a collector pass would only walk them.
 
 The two recursions terminate together: each pass through the seam
 strictly shrinks the total of node and angle degrees, because taking an
@@ -46,7 +46,7 @@ from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, parse_poly
 from .scan import Cursor
 from .trees import (
     LEAF, Family, Node, Tree,
-    bidegree, parse_tree, render_tree, with_root_label,
+    bidegree, intern_node, parse_tree, raised, render_tree, with_root_label,
 )
 
 __all__ = [
@@ -387,7 +387,7 @@ def raise_root(t: Tree) -> Tree:
     """Root label + 1 (leaf fixed)."""
     if t.is_leaf:
         return t
-    return with_root_label(t, t.label + 1)
+    return raised(t)
 
 
 def lower_root(t: Tree) -> Tree:
@@ -406,8 +406,8 @@ def _beta_term(family: Family, t: Tree) -> tuple[Tree, LambdaPoly]:
     """The operator on one basis tree, as its image tree and coefficient."""
     if t.is_leaf:
         return t, ONE
-    if family.j != 2:
-        return with_root_label(t, t.label + 1), ONE
+    if family.j != 2 or t.label == 0:
+        return raised(t), ONE
     return with_root_label(t, 1), _MINUS_LAMBDA ** t.label
 
 
@@ -441,10 +441,16 @@ def _collector_paused(f: Callable) -> Callable:
 
     The library builds no reference cycles (its trees and memo tables
     are freed by reference counting), so a collector pass would only walk
-    the memo tables and find nothing.  Placed under an ``lru_cache``, the
-    pause runs only on a miss.  The arguments are named rather than
-    packed, so that the call into ``f`` builds no tuple and runs inline:
-    it is on the path of every memo miss."""
+    the memo tables and find nothing.  The pause sits above the
+    ``lru_cache`` of `circle` and `star`, so the memo lookup runs inside
+    it: the lookup builds the call's argument tuple and, on a miss, keeps
+    it as the key.  Under the memo, the pause left that allocation
+    outside, where it could start a collector pass over everything the
+    paused calls had allocated.  A memo hit pays for the pause, and the
+    wrapper stands in for the memo table by passing on its
+    ``cache_info`` and ``cache_clear``.  The arguments are named rather
+    than packed, so that the call into ``f`` builds no tuple and runs
+    inline: it is on the path of every product."""
     @wraps(f)
     def paused(a, b, c):
         if not gc.isenabled():
@@ -454,11 +460,14 @@ def _collector_paused(f: Callable) -> Callable:
             return f(a, b, c)
         finally:
             gc.enable()
+    for name in ("cache_info", "cache_clear"):
+        if hasattr(f, name):
+            setattr(paused, name, getattr(f, name))
     return paused
 
 
-@lru_cache(maxsize=None)
 @_collector_paused
+@lru_cache(maxsize=None)
 def circle(family: Family, t: Tree, s: Tree) -> LinComb:
     """The multiplication, on a pair of basis trees (or leaves).
 
@@ -500,13 +509,13 @@ def circle(family: Family, t: Tree, s: Tree) -> LinComb:
         if mid.is_leaf:
             mid = graft(family, prefix + (mid,) + suffix, angles)
         elif others:
-            mid = Node(0, prefix + (mid,) + suffix, angles)
+            mid = intern_node(0, prefix + (mid,) + suffix, angles)
         out[mid] = c if k is ONE else c * k
     return _wrap(out)
 
 
-@lru_cache(maxsize=None)
 @_collector_paused
+@lru_cache(maxsize=None)
 def star(family: Family, u: Tree, v: Tree) -> LinComb:
     """The double product on basis trees; the leaf is its unit.
 

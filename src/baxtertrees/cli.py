@@ -37,7 +37,7 @@ from .paths import (
     schroder_params, to_colored_motzkin, to_plus_class, to_zero_class,
 )
 from .trees import (
-    Family, enumerate_trees, parse_family, parse_planar, parse_tree,
+    F22, Family, enumerate_trees, parse_family, parse_planar, parse_tree,
     require_valid,
 )
 from .verify import BUDGETS, DEFAULT_SEED, SUITES, run_suites
@@ -113,7 +113,7 @@ def _maybe_eval(v: LinComb, weight) -> LinComb:
 
 
 def _pi_variant(family: Family) -> str:
-    if family == Family(2, 2):
+    if family is F22:
         return "two"
     if family.j == 2:
         return "infinity"

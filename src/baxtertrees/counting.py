@@ -24,7 +24,7 @@ from math import comb
 from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError
-from .trees import INF, Family
+from .trees import F2I, F22, FI2, Family
 
 __all__ = [
     "sequence", "catalan", "motzkin", "schroder_large", "schroder_small",
@@ -125,11 +125,11 @@ def dim_formula(family: Family, n: int, m: int) -> int:
         if family.i == 2:
             return 1 if n == 1 else 0
         return 1
-    if family == Family(2, 2):
+    if family is F22:
         return _dim_forced(n, m)
-    if family == Family(INF, 2):
+    if family is FI2:
         return _dim_free_angle(n, m)
-    if family == Family(2, INF):
+    if family is F2I:
         return binomial_transform_table(_dim_forced, n, m, in_first=False)
     return binomial_transform_table(_dim_forced, n, m)
 

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence, Union
 from .baxter_core import LinComb
 from .errors import DomainError, ParseError
 from .scan import Cursor
-from .trees import INF, Family, Node, Tree, bidegree, require_valid
+from .trees import F22, FI2, Family, Node, Tree, bidegree, require_valid
 
 __all__ = [
     "Word", "parse_word", "render_word", "word_variant",
@@ -228,7 +228,7 @@ def enumerate_words(variant: str, n: int, m: int | None = None) -> tuple[Word, .
 # ---------------------------------------------------------------------------
 
 def _family_for(variant: str) -> Family:
-    return Family(INF, 2) if variant == "infinity" else Family(2, 2)
+    return FI2 if variant == "infinity" else F22
 
 
 def pi_word(variant: str, t: Tree) -> Word:
@@ -310,9 +310,8 @@ def _tilde_signature(t: Tree):
 def tilde_equiv(t: Tree, s: Tree) -> bool:
     """Whether two basis trees have the same projection, decided by the
     structural conditions and confirmed against word equality."""
-    fam = Family(INF, 2)
     for u in (t, s):
-        require_valid(fam, u, "tree not valid")  # rejects the bare leaf
+        require_valid(FI2, u, "tree not valid")  # rejects the bare leaf
     structural = _tilde_signature(t) == _tilde_signature(s)
     words = pi_word("infinity", t) == pi_word("infinity", s)
     if structural != words:

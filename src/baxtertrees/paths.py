@@ -45,8 +45,8 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, ParseError
 from .trees import (
-    LEAF, Family, Node, PTree, PlanarTree, Tree,
-    bidegree, parse_family, require_valid, with_root_label,
+    F22, FI2, LEAF, Node, PTree, PlanarTree, Tree,
+    bidegree, raised, require_valid, with_root_label,
 )
 
 __all__ = [
@@ -385,14 +385,11 @@ def level_colored_motzkin_paths(length: int) -> tuple:
 # Angle labels <-> interior leaves
 # ---------------------------------------------------------------------------
 
-_INF2 = parse_family("inf,2")
-
-
 def strip_angles(t: Tree) -> PlanarTree:
     """Forget decorations: each angle label j becomes j−1 interior
     leaves.  Input must be valid with forced node labels and positive
     root (raise the root of a root-0 tree first)."""
-    require_valid(_INF2, t, "not a valid forced-label tree")
+    require_valid(FI2, t, "not a valid forced-label tree")
     if t.label == 0:
         raise DomainError("root label 0: raise the root before stripping")
     return _strip(t)
@@ -544,8 +541,6 @@ def to_plus_class(q: Sequence[str]) -> Path:
 # Forced-label trees <-> colored mountain paths
 # ---------------------------------------------------------------------------
 
-_22 = parse_family("2,2")
-
 # token pairs -> emitted steps; the (V, DH) pair is special-cased
 _PAIR_IMAGES = {
     ("H", "V"): ("Hr",),
@@ -609,7 +604,7 @@ def _rewrite_pairs(pairs: Sequence[tuple[str, str]]) -> tuple:
 def to_colored_motzkin(t: Tree) -> Path:
     """Encode a forced-label tree with root label 1 as a colored
     mountain path of length (angle degree − 1)."""
-    require_valid(_22, t, "not a valid fully-forced tree")
+    require_valid(F22, t, "not a valid fully-forced tree")
     if t.label != 1:
         raise DomainError("root label must be 1 (raise a root-0 tree first)")
     p = tree_to_path(_strip(t))  # valid in 2,2 with root 1: strippable
@@ -708,7 +703,7 @@ def encode_zero(t: Tree) -> Path:
     trade the frame for a diagonal D."""
     if t.is_leaf or t.label != 0:
         raise DomainError("input must have root label 0")
-    return to_zero_class(encode_positive(with_root_label(t, 1)))
+    return to_zero_class(encode_positive(raised(t)))
 
 
 def decode_zero(q: Sequence[str]) -> Tree:

@@ -28,7 +28,9 @@ It is the one module that answers questions about a tree's shape.  Each
 tree caches its degrees at the head of its sort key (`tree_sort_key`
 serves both kinds), so `bidegree` and `is_binary` read them without a
 walk, and `require_valid` is the one place a rule violation becomes a
-`DomainError`.
+`DomainError`.  A decorated tree also keeps its image with the root
+label one higher (`raised`), and each family is one object
+(`FAMILIES`), so memo tables key on both by identity.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from .errors import DomainError, ParseError
 from .scan import Cursor, int_text
 
 __all__ = [
-    "Leaf", "LEAF", "Node", "Tree", "Family",
-    "FAMILIES", "parse_family", "bidegree", "validate", "is_valid",
-    "require_valid",
+    "Leaf", "LEAF", "Node", "Tree", "intern_node", "raised",
+    "Family", "FAMILIES", "F22", "F2I", "FI2", "FII",
+    "parse_family", "bidegree", "validate", "is_valid", "require_valid",
     "parse_tree", "render_tree", "tree_sort_key",
     "enumerate_trees", "enumerate_zero_root", "enumerate_positive_root",
     "count_trees",
@@ -63,6 +65,13 @@ INF = float("inf")
 # and hash by identity.  Each intern table maps a tree's parts to a weak
 # reference, so a tree leaves its table when the last reference to it
 # goes; the tables cache no results.
+#
+# A tree may hold one derived tree: a decorated tree its root-raised
+# image (`raised`, in ``_raised``), a planar tree its decorated image
+# (``_image``).  Each such reference points from a tree to one that
+# never points back (a raised image has a higher root label; a decorated
+# tree holds no planar tree), so no reference cycle forms, and the
+# derived tree dies with its base unless something else holds it.
 
 # Decorated trees: (label, children, angles) -> weak reference to the tree.
 _DECORATED: dict = {}
@@ -140,16 +149,12 @@ class Node:
     object and key memo tables and linear combinations by identity.
     """
 
-    __slots__ = ("label", "children", "angles", "_key", "__weakref__")
+    __slots__ = ("label", "children", "angles", "_key", "_raised", "__weakref__")
 
     is_leaf = False
 
     def __new__(cls, label: int, children: Sequence["Tree"], angles: Sequence[int]):
-        key = (label, tuple(children), tuple(angles))
-        ref = _DECORATED.get(key)
-        if ref is not None and (t := ref()) is not None:
-            return t
-        return _intern(cls, _DECORATED, key)
+        return intern_node(label, tuple(children), tuple(angles))
 
     def _fill(self, key: tuple) -> None:
         label, children, angles = key
@@ -163,6 +168,7 @@ class Node:
         self.children = children
         self.angles = angles
         self._key = None
+        self._raised = None
 
     def sort_key(self):
         """Canonical total-order key, arranged so sorted terms display
@@ -197,11 +203,31 @@ class Node:
 Tree = Union[Leaf, Node]
 
 
+def intern_node(label: int, children: tuple, angles: tuple) -> Node:
+    """The node with these parts, given as tuples: the live one if there
+    is one, else a new one.  Every decorated tree is built here; `Node`
+    converts its arguments to tuples and calls it."""
+    key = (label, children, angles)
+    ref = _DECORATED.get(key)
+    if ref is not None and (t := ref()) is not None:
+        return t
+    return _intern(Node, _DECORATED, key)
+
+
 def with_root_label(t: Node, label: int) -> Node:
     """The same tree with its root label replaced."""
     if t.label == label:
         return t
-    return Node(label, t.children, t.angles)
+    return intern_node(label, t.children, t.angles)
+
+
+def raised(t: Node) -> Node:
+    """The same tree with its root label one higher, built once and then
+    kept in ``t._raised`` for as long as ``t`` lives."""
+    r = t._raised
+    if r is None:
+        r = t._raised = intern_node(t.label + 1, t.children, t.angles)
+    return r
 
 
 def tree_sort_key(t: "Tree | PlanarTree"):
@@ -219,27 +245,26 @@ class Family:
     ``j`` governs the node labels (2 means root in {0, 1}, every other
     internal label 1).  Families are runtime values because the quotient
     morphisms convert between them.
+
+    Each pair is one object (`FAMILIES`): ``Family(i, j)``, copying and
+    unpickling all return it, so families compare and hash by identity.
     """
 
     __slots__ = ("i", "j")
 
-    def __init__(self, i, j):
+    def __new__(cls, i, j):
         if i not in (2, INF) or j not in (2, INF):
             raise DomainError(f"family entries must be 2 or inf, got ({i}, {j})")
-        self.i = i
-        self.j = j
+        return _FAMILY_OF[i, j]
+
+    def __reduce__(self):
+        return Family, (self.i, self.j)
 
     @property
     def text(self) -> str:
         a = "2" if self.i == 2 else "inf"
         b = "2" if self.j == 2 else "inf"
         return f"{a},{b}"
-
-    def __eq__(self, other):
-        return isinstance(other, Family) and (self.i, self.j) == (other.i, other.j)
-
-    def __hash__(self):
-        return hash((self.i, self.j))
 
     def __repr__(self):
         return f"Family({self.text})"
@@ -264,7 +289,15 @@ def parse_family(text: str) -> Family:
     return Family(*vals)
 
 
-FAMILIES = (Family(2, 2), Family(2, INF), Family(INF, 2), Family(INF, INF))
+def _family(i, j) -> Family:
+    f = object.__new__(Family)
+    f.i, f.j = i, j
+    return f
+
+
+FAMILIES = F22, F2I, FI2, FII = (
+    _family(2, 2), _family(2, INF), _family(INF, 2), _family(INF, INF))
+_FAMILY_OF = {(f.i, f.j): f for f in FAMILIES}
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ from .paths import (
 )
 from .scalars import LAMBDA
 from .trees import (
-    FAMILIES, INF, LEAF, Family, Tree, bidegree, binary_trees, count_trees,
+    F22, F2I, FAMILIES, FI2, FII, INF, LEAF, Family, Tree,
+    bidegree, binary_trees, count_trees,
     enumerate_positive_root, enumerate_trees, enumerate_zero_root, parse_tree,
     planar_trees,
 )
@@ -60,11 +61,6 @@ __all__ = [
 
 DEFAULT_SEED = 271828
 BUDGETS = ("quick", "desk")
-
-_F22 = Family(2, 2)
-_F2I = Family(2, INF)
-_FI2 = Family(INF, 2)
-_FII = Family(INF, INF)
 
 # Per-suite size knobs.  The desk values are the bounds the library
 # advertises; quick is a strict subset for fast smokes.
@@ -165,10 +161,10 @@ def _trees_upto(family: Family, total: int) -> list[Tree]:
 def _suite_dimensions(b: dict, rec: _Recorder, rng: random.Random) -> None:
     npp, mpp = b["dims_forced"]
     bad = [
-        (n, m, count_trees(_F22, n, m), dim_formula(_F22, n, m))
+        (n, m, count_trees(F22, n, m), dim_formula(F22, n, m))
         for n in range(1, npp + 1)
         for m in range(0, mpp + 1)
-        if count_trees(_F22, n, m) != dim_formula(_F22, n, m)
+        if count_trees(F22, n, m) != dim_formula(F22, n, m)
     ]
     rec.all_equal(
         f"forced-label counts match C(m)*binom(m+1, n-m) on 1..{npp} x 0..{mpp}",
@@ -180,7 +176,7 @@ def _suite_dimensions(b: dict, rec: _Recorder, rng: random.Random) -> None:
         (n, m)
         for n in range(1, nff + 1)
         for m in range(0, mff + 1)
-        if count_trees(_FI2, n, m) != dim_formula(_FI2, n, m)
+        if count_trees(FI2, n, m) != dim_formula(FI2, n, m)
     ]
     rec.all_equal(
         f"free-angle counts match C(m)*binom(n+m, n-m) on 1..{nff} x 0..{mff}",
@@ -210,7 +206,7 @@ def _suite_dimensions(b: dict, rec: _Recorder, rng: random.Random) -> None:
 def _suite_marginals(b: dict, rec: _Recorder, rng: random.Random) -> None:
     r = b["marg_row"]
     rows = tuple(
-        sum(count_trees(_FI2, n, m) for m in range(0, n + 1)) for n in range(1, r + 1)
+        sum(count_trees(FI2, n, m) for m in range(0, n + 1)) for n in range(1, r + 1)
     )
     expect = tuple(sequence("schroder_large", n) for n in range(1, r + 1))
     rec.check(
@@ -221,7 +217,7 @@ def _suite_marginals(b: dict, rec: _Recorder, rng: random.Random) -> None:
 
     k = b["marg_total"]
     totals = tuple(
-        sum(count_trees(_FI2, n, d - n) for n in range(1, d + 1))
+        sum(count_trees(FI2, n, d - n) for n in range(1, d + 1))
         for d in range(1, k + 1)
     )
     expect = tuple(sequence("motzkin", d) for d in range(1, k + 1))
@@ -234,7 +230,7 @@ def _suite_marginals(b: dict, rec: _Recorder, rng: random.Random) -> None:
     c = b["marg_col"]
     bad = []
     for m in range(1, c + 1):
-        col = sum(count_trees(_F22, n, m) for n in range(m, 2 * m + 2))
+        col = sum(count_trees(F22, n, m) for n in range(m, 2 * m + 2))
         if col != 2 ** (m + 1) * catalan(m):
             bad.append((m, col, 2 ** (m + 1) * catalan(m)))
     rec.all_equal(
@@ -259,16 +255,16 @@ def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
     }
 
     def forced(n: int, m: int) -> int:
-        return tables[_F22][(n, m)]
+        return tables[F22][(n, m)]
 
     def free_angle(n: int, m: int) -> int:
-        return tables[_FI2][(n, m)]
+        return tables[FI2][(n, m)]
 
     bad = [
         (n, m)
         for n in range(1, top + 1)
         for m in range(1, top + 1)
-        if tables[_FI2][(n, m)]
+        if tables[FI2][(n, m)]
         != binomial_transform_table(forced, n, m, in_first=True, in_second=False)
     ]
     rec.all_equal("free-angle table is the first-variable transform of forced", bad)
@@ -277,7 +273,7 @@ def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
         (n, m)
         for n in range(1, top + 1)
         for m in range(1, top + 1)
-        if tables[_F2I][(n, m)]
+        if tables[F2I][(n, m)]
         != binomial_transform_table(forced, n, m, in_first=False, in_second=True)
     ]
     rec.all_equal("free-label table is the second-variable transform of forced", bad)
@@ -289,12 +285,12 @@ def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
             via_free_angle = binomial_transform_table(
                 free_angle, n, m, in_first=False, in_second=True
             )
-            if tables[_FII][(n, m)] != both or both != via_free_angle:
+            if tables[FII][(n, m)] != both or both != via_free_angle:
                 bad.append((n, m))
     rec.all_equal("doubly free table is the transform in both variables", bad)
 
     bad = []
-    for family in (_F2I, _FII):
+    for family in (F2I, FII):
         for n in range(1, top + 1):
             expected = 1 if family.i == INF or n == 1 else 0
             for m in range(0, 1):
@@ -321,7 +317,7 @@ def _suite_series(b: dict, rec: _Recorder, rng: random.Random) -> None:
         f"all four series match enumeration to total degree {top}", bad
     )
 
-    gf = series_coeffs(_FI2, top, top)
+    gf = series_coeffs(FI2, top, top)
     diag = gf.diagonal()[1:]
     expect = tuple(sequence("motzkin", d) for d in range(1, len(diag) + 1))
     rec.check(
@@ -409,7 +405,7 @@ def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
 
     r = b["ident_quasi"]
     bad = []
-    for family in (_F22, _FI2):
+    for family in (F22, FI2):
         for t in _trees_upto(family, r):
             twice = beta_lc(family, beta(family, t))
             if twice != beta(family, t).scale(-LAMBDA):
@@ -420,7 +416,7 @@ def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
     )
 
     bad = []
-    for family in (_F22, _F2I):
+    for family in (F22, F2I):
         g = generator(family)
         if circle(family, g, g) != LinComb.of(g):
             bad.append((family, "g*g"))
@@ -457,38 +453,38 @@ def _suite_examples(b: dict, rec: _Recorder, rng: random.Random) -> None:
 
     cases = [
         ("corner product adds angle labels",
-         circle(_FII, t("0(. 2 .)"), t("0(. 3 .)")), "0(. 5 .)"),
+         circle(FII, t("0(. 2 .)"), t("0(. 3 .)")), "0(. 5 .)"),
         ("raised corner times corner grafts on the left",
-         circle(_FII, t("1(. 2 .)"), t("0(. 3 .)")), "0(1(. 2 .) 3 .)"),
+         circle(FII, t("1(. 2 .)"), t("0(. 3 .)")), "0(1(. 2 .) 3 .)"),
         ("derived product of corners has three terms",
-         star(_FII, t("0(. 2 .)"), t("0(. 3 .)")),
+         star(FII, t("0(. 2 .)"), t("0(. 3 .)")),
          "0(1(. 2 .) 3 .) + 0(. 2 1(. 3 .)) + l*0(. 5 .)"),
         ("raised product in the collapsed-label family",
-         circle(_FI2, t("1(. 2 .)"), t("1(. 3 .)")),
+         circle(FI2, t("1(. 2 .)"), t("1(. 3 .)")),
          "1(1(. 2 .) 3 .) + 1(. 2 1(. 3 .)) + l*1(. 5 .)"),
     ]
     for name, got, expect in cases:
         want = tree_lincomb_parser(expect)
         rec.check(name, got == want, f"got {got}, expected {expect}")
 
-    disp = str(circle(_FI2, t("1(. 2 .)"), t("1(. 3 .)")))
+    disp = str(circle(FI2, t("1(. 2 .)"), t("1(. 3 .)")))
     expect = "1(1(. 2 .) 3 .) + 1(. 2 1(. 3 .)) + l*1(. 5 .)"
     rec.check("raised product renders verbatim", disp == expect, disp)
 
     rec.check(
         "grafting merges an interior leaf into its flanking angles",
-        graft(_FII, [t("1(. 1 .)"), LEAF, LEAF], [2, 1]) == t("0(1(. 1 .) 3 .)"),
-        str(graft(_FII, [t("1(. 1 .)"), LEAF, LEAF], [2, 1])),
+        graft(FII, [t("1(. 1 .)"), LEAF, LEAF], [2, 1]) == t("0(1(. 1 .) 3 .)"),
+        str(graft(FII, [t("1(. 1 .)"), LEAF, LEAF], [2, 1])),
     )
     rec.check(
         "grafting a single subtree returns it unchanged",
-        graft(_FII, [t("1(. 4 .)")], []) == t("1(. 4 .)"),
+        graft(FII, [t("1(. 4 .)")], []) == t("1(. 4 .)"),
         "",
     )
     rec.check(
         "grafting three leaves saturates to the generator",
-        graft(_F22, [LEAF, LEAF, LEAF], [1, 1]) == t("0(. 1 .)"),
-        str(graft(_F22, [LEAF, LEAF, LEAF], [1, 1])),
+        graft(F22, [LEAF, LEAF, LEAF], [1, 1]) == t("0(. 1 .)"),
+        str(graft(F22, [LEAF, LEAF, LEAF], [1, 1])),
     )
     rec.check(
         "degrafting splits a root-0 tree at the root",
@@ -507,18 +503,18 @@ def _suite_examples(b: dict, rec: _Recorder, rng: random.Random) -> None:
     )
     rec.check(
         "operator raises the root label",
-        beta(_FII, t("0(. 3 .)")) == LinComb.of(t("1(. 3 .)")),
+        beta(FII, t("0(. 3 .)")) == LinComb.of(t("1(. 3 .)")),
         "",
     )
-    g = generator(_FI2)
+    g = generator(FI2)
     rec.check(
         "induced left operation on generators",
-        rb_dendriform(_FI2, "left", g, g) == LinComb.of(t("0(. 1 1(. 1 .))")),
+        rb_dendriform(FI2, "left", g, g) == LinComb.of(t("0(. 1 1(. 1 .))")),
         "",
     )
     rec.check(
         "induced middle operation on generators adds angles",
-        rb_dendriform(_FII, "dot", generator(_FII), generator(_FII))
+        rb_dendriform(FII, "dot", generator(FII), generator(FII))
         == LinComb.of(t("0(. 2 .)")),
         "",
     )
@@ -534,7 +530,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, top + 1):
         for m in range(1, n + 1):
-            for t in enumerate_positive_root(_FI2, n, m):
+            for t in enumerate_positive_root(FI2, n, m):
                 if restore_angles(strip_angles(t)) != t:
                     bad.append(str(t))
     rec.all_equal(f"strip/restore is the identity on raised trees up to n={top}", bad)
@@ -542,7 +538,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, top + 1):
         for m in range(1, n + 1):
-            trees = enumerate_positive_root(_FI2, n, m)
+            trees = enumerate_positive_root(FI2, n, m)
             paths = plus_paths(n, m)
             images = set()
             for t in trees:
@@ -577,7 +573,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, sq + 1):
         for m in range(0, n):
-            trees = enumerate_zero_root(_FI2, n, m)
+            trees = enumerate_zero_root(FI2, n, m)
             images = set()
             for t in trees:
                 q = encode_zero(t)
@@ -593,11 +589,11 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, top + 1):
         for m in range(1, n + 1):
-            plus_im = {encode_positive(t) for t in enumerate_positive_root(_F22, n, m)}
+            plus_im = {encode_positive(t) for t in enumerate_positive_root(F22, n, m)}
             if plus_im != set(restricted_plus_paths(n, m)):
                 bad.append(("plus", n, m))
         for m in range(0, n):
-            zero_im = {encode_zero(t) for t in enumerate_zero_root(_F22, n, m)}
+            zero_im = {encode_zero(t) for t in enumerate_zero_root(F22, n, m)}
             if zero_im != set(restricted_zero_paths(n, m)):
                 bad.append(("zero", n, m))
     rec.all_equal(
@@ -608,7 +604,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     bad = []
     for n in range(1, top + 1):
         raised = [
-            t for m in range(1, n + 1) for t in enumerate_positive_root(_F22, n, m)
+            t for m in range(1, n + 1) for t in enumerate_positive_root(F22, n, m)
         ]
         images = set()
         for t in raised:
@@ -657,7 +653,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
 
     doubling = []
     for n in range(1, card + 1):
-        row = sum(count_trees(_F22, n, m) for m in range(0, n + 1))
+        row = sum(count_trees(F22, n, m) for m in range(0, n + 1))
         if row != 2 * len(colored_motzkin_paths(n - 1)):
             doubling.append(n)
     rec.all_equal(
@@ -670,7 +666,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
         n = top + 1
         pool = []
         for m in (1, 2, 3):
-            pool.extend(enumerate_positive_root(_FI2, n, m))
+            pool.extend(enumerate_positive_root(FI2, n, m))
         bad = []
         for t in rng.sample(pool, min(spots, len(pool))):
             if decode_positive(encode_positive(t)) != t:
@@ -683,7 +679,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
 # ---------------------------------------------------------------------------
 
 _PROJECTIONS = (
-    (_FII, _F2I), (_FII, _FI2), (_FII, _F22), (_F2I, _F22), (_FI2, _F22),
+    (FII, F2I), (FII, FI2), (FII, F22), (F2I, F22), (FI2, F22),
 )
 
 
@@ -728,10 +724,10 @@ def _suite_morphisms(b: dict, rec: _Recorder, rng: random.Random) -> None:
 
     dia = b["morph_diamond"]
     bad = []
-    for t in _trees_upto(_FII, dia):
-        direct = morphism(_FII, _F22, t)
-        via_label = morphism_lc(_F2I, _F22, morphism(_FII, _F2I, t))
-        via_angle = morphism_lc(_FI2, _F22, morphism(_FII, _FI2, t))
+    for t in _trees_upto(FII, dia):
+        direct = morphism(FII, F22, t)
+        via_label = morphism_lc(F2I, F22, morphism(FII, F2I, t))
+        via_angle = morphism_lc(FI2, F22, morphism(FII, FI2, t))
         if not (direct == via_label == via_angle):
             bad.append(str(t))
     rec.all_equal(
@@ -757,7 +753,7 @@ def _suite_morphisms(b: dict, rec: _Recorder, rng: random.Random) -> None:
 def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
     top = b["mono_pi"]
     bad = []
-    for variant, family in (("infinity", _FI2), ("two", _F22)):
+    for variant, family in (("infinity", FI2), ("two", F22)):
         for t in _trees_upto(family, top):
             if pi_word(variant, t) != pi_word_recursive(variant, t):
                 bad.append((variant, str(t)))
@@ -767,7 +763,7 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
     )
 
     pt = b["mono_pairs"]
-    pool = _trees_upto(_FI2, pt)
+    pool = _trees_upto(FI2, pt)
     bad = [
         (str(t), str(s))
         for t in pool
@@ -807,7 +803,7 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
 
     mm = b["mono_morph"]
     bad = []
-    for variant, family in (("infinity", _FI2), ("two", _F22)):
+    for variant, family in (("infinity", FI2), ("two", F22)):
         pool = _trees_upto(family, mm)
         for a in pool:
             wa = pi_word(variant, a)
@@ -824,9 +820,9 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
     )
 
     bad = []
-    for t in _trees_upto(_FI2, mm + 1):
+    for t in _trees_upto(FI2, mm + 1):
         lhs = LinComb.of(word_quotient(pi_word("infinity", t)))
-        rhs = pi_map("two", morphism(_FI2, _F22, t).eval_weight(-1))
+        rhs = pi_map("two", morphism(FI2, F22, t).eval_weight(-1))
         if lhs != rhs:
             bad.append(str(t))
     rec.all_equal("word quotient square commutes with the tree projection", bad)
@@ -908,7 +904,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
 
     rb = b["dend_rb"]
     bad = []
-    for family in (_F22, _FI2):
+    for family in (F22, FI2):
         tp = _trees_upto(family, rb)
         bad.extend(
             (family,) + f
@@ -959,7 +955,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for y, ey in zip(tri_pool, images):
             for op in ("left", "right", "dot"):
                 lhs = embed_trialgebra(dend_op("trialgebra", op, x, y))
-                rhs = rb_dendriform(_FI2, op, ex, ey)
+                rhs = rb_dendriform(FI2, op, ex, ey)
                 if lhs != rhs:
                     bad.append((op, str(x), str(y)))
     rec.all_equal(
@@ -980,7 +976,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for y, ey in zip(bin_embed, imgs):
             for op in ("left", "right"):
                 lhs = embed_dialgebra(dend_op("dialgebra", op, x, y))
-                rhs = rb_dendriform(_F22, op, ex, ey).eval_weight(0)
+                rhs = rb_dendriform(F22, op, ex, ey).eval_weight(0)
                 if lhs != rhs:
                     bad.append((op, str(x), str(y)))
     rec.all_equal(
@@ -995,7 +991,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
             if dt_dim(n, m) != len(planar_trees(n, m)):
                 bad.append(("count", n, m))
         for m in range(0, n + 1):
-            if dim_formula(_FI2, n, m) != dt_dim(n, m) + dt_dim(n, m + 1):
+            if dim_formula(FI2, n, m) != dt_dim(n, m) + dt_dim(n, m + 1):
                 bad.append(("sum", n, m))
     rec.all_equal(
         f"planar-tree counts and their pairwise sums match dimensions up to {dtn}",
@@ -1007,7 +1003,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
     for n in range(1, cd + 1):
         images = {next(iter(embed_dialgebra(bt).support()))
                   for bt in binary_trees(n)}
-        dim = count_trees(_F22, n, n - 1) if n > 1 else count_trees(_F22, 1, 0)
+        dim = count_trees(F22, n, n - 1) if n > 1 else count_trees(F22, 1, 0)
         expected_dim = n * catalan(n - 1) if n > 1 else 1
         if len(images) != catalan(n) or dim != expected_dim or len(images) > dim:
             bad.append((n, len(images), dim))

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import sys
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -503,6 +504,40 @@ def test_beta_matches_the_reference_operator():
         assert beta_lc(family, u) == u.apply(lambda x: reference_beta(family, x))
 
 
+def test_beta_returns_the_image_it_keeps():
+    for family in FAMILIES:
+        for x in trees_up_to(family, 4):
+            image = beta(family, x).support()[0]
+            assert beta(family, x).support()[0] is image
+            if family.j != 2 or x.label == 0:
+                assert x._raised is image is raise_root(x)
+
+
+def test_a_kept_image_dies_with_its_base():
+    # The kept image points from a tree to its raised copy and never
+    # back, so reference counting frees both, with no collector pass.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        base = Node(7, (LEAF, Node(9, (LEAF, LEAF), (13,))), (11,))  # held by no memo
+        image = weakref.ref(beta(FII, base).support()[0])
+        assert image() is base._raised and image().label == 8
+        del base
+        assert image() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_the_quasi_idempotent_operator_on_each_root_label():
+    for family in (F22, FI2):
+        for k in range(4):
+            x = with_root_label(t("0(. 1 .)"), k)
+            [(image, coeff)] = beta(family, x).terms.items()
+            assert image is with_root_label(x, 1)
+            assert coeff == (ONE if k == 0 else (-LAMBDA) ** k)
+
+
 def test_circle_matches_the_composition_of_operator_and_graft():
     leaf_middles = 0
     for family in FAMILIES:
@@ -607,11 +642,11 @@ def test_a_product_miss_runs_with_the_collector_paused(monkeypatch, collector,
 
 
 @pytest.mark.parametrize("product", [circle, star], ids=["circle", "star"])
-def test_the_pause_runs_on_a_miss_only(cold_products, product):
-    # The pause sits under the memo: a miss enters it and the product's
-    # body, a hit enters neither.
-    paused = product.__wrapped__
-    own = {paused.__code__, paused.__wrapped__.__code__}
+def test_a_hit_enters_the_pause_but_not_the_body(cold_products, product):
+    # The pause sits above the memo: every call enters it, and only a miss
+    # goes on into the product's body.
+    paused = product.__code__
+    body = product.__wrapped__.__wrapped__.__code__
 
     def entered():
         codes = set()
@@ -621,11 +656,52 @@ def test_the_pause_runs_on_a_miss_only(cold_products, product):
             product(FII, x, x)
         finally:
             sys.setprofile(None)
-        return codes & own
+        return codes & {paused, body}
 
     x = t("0(1(. 1 .) 2 .)")
-    assert entered() == own
-    assert entered() == set()
+    assert entered() == {paused, body}
+    assert entered() == {paused}
+
+
+def sweep(product, pairs):
+    for family, a, b in pairs:
+        product(family, a, b)
+
+
+@pytest.mark.parametrize("product", [circle, star], ids=["circle", "star"])
+def test_a_cold_sweep_starts_no_collector_pass(cold_products, product):
+    # Everything a product call allocates, the memo's key tuple included,
+    # is allocated inside the pause, so even at the lowest threshold the
+    # collector meets no allocation outside it to start a pass on.
+    pairs = [(family, a, b) for family in FAMILIES
+             for pool in [trees_up_to(family, 3)] for a in pool for b in pool]
+    # A first sweep specializes the loop: until then, unpacking each pair
+    # allocates an iterator outside the pause.
+    sweep(product, pairs)
+    circle.cache_clear()
+    star.cache_clear()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    # The iterator is made before the collection: other gc callbacks may
+    # allocate after it, and an iterator made then would start a pass.
+    todo = iter(pairs)
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(1)
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        sweep(product, todo)
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(count)
+        (gc.enable if enabled else gc.disable)()
+    assert product.cache_info().currsize >= len(pairs)
+    assert starts == []
 
 
 def test_direct_products_leave_no_cyclic_garbage(cold_products):

@@ -1,8 +1,10 @@
 """Decorated-tree grammar, validation, enumeration, and planar bases."""
 
+import copy
 import gc
 import importlib
 import itertools
+import pickle
 import pkgutil
 
 from hypothesis import given
@@ -73,6 +75,24 @@ def test_family_quotient_order():
     assert F22 <= FI2 and F22 <= F2I and F22 <= FII
     assert not (FI2 <= F2I) and not (F2I <= FI2)
     assert len(FAMILIES) == 4
+
+
+def test_each_family_is_one_object():
+    assert Family(INF, 2) is parse_family("inf,2") is FAMILIES[2]
+    assert FAMILIES == (trees.F22, trees.F2I, trees.FI2, trees.FII)
+    for family in FAMILIES:
+        assert Family(family.i, family.j) is family
+        assert Family(float(family.i), family.j) is family
+        assert copy.copy(family) is family
+        assert copy.deepcopy(family) is family
+        assert pickle.loads(pickle.dumps(family)) is family
+
+
+@pytest.mark.parametrize("i, j", [(3, 2), (2, 1), ("2", 2), ([2], INF)])
+def test_a_bad_family_entry_keeps_its_message(i, j):
+    with pytest.raises(DomainError) as err:
+        Family(i, j)
+    assert str(err.value) == f"family entries must be 2 or inf, got ({i}, {j})"
 
 
 # -- grammar ----------------------------------------------------------------
