@@ -230,12 +230,19 @@ def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
 def bilinear(op: Callable, u: LinComb, v: LinComb) -> LinComb:
     """The bilinear extension of a basis product ``op(x, y)``, which
     returns the ``(element, coefficient)`` pairs of its product; the one
-    loop over the terms of two combinations."""
+    loop over the terms of two combinations.  A product with a unit
+    coefficient on either side is skipped: it would only copy."""
     out: dict = {}
     for x, cx in u.terms.items():
         unit = cx.coeffs == (1,)
         for y, cy in v.terms.items():
-            addmul(out, op(x, y), cy if unit else cx * cy)
+            if unit:
+                c = cy
+            elif cy.coeffs == (1,):
+                c = cx
+            else:
+                c = cx * cy
+            addmul(out, op(x, y), c)
     return _wrap(out)
 
 
@@ -399,7 +406,9 @@ def lower_root(t: Tree) -> Tree:
     return with_root_label(t, t.label - 1)
 
 
-_MINUS_LAMBDA = -LAMBDA
+def _minus_weight_power(power: int) -> LambdaPoly:
+    """``(-l)^power``, built as the one monomial it is."""
+    return LambdaPoly.weight(power, -1 if power & 1 else 1)
 
 
 def _beta_term(family: Family, t: Tree) -> tuple[Tree, LambdaPoly]:
@@ -408,7 +417,7 @@ def _beta_term(family: Family, t: Tree) -> tuple[Tree, LambdaPoly]:
         return t, ONE
     if family.j != 2 or t.label == 0:
         return raised(t), ONE
-    return with_root_label(t, 1), _MINUS_LAMBDA ** t.label
+    return with_root_label(t, 1), _minus_weight_power(t.label)
 
 
 def beta(family: Family, t: Tree) -> LinComb:
@@ -601,7 +610,7 @@ def morphism(source: Family, target: Family, t: Tree) -> LinComb:
         t = _erase_angles(t)
     if target.j == 2 and source.j != 2:
         t, excess = _collapse_labels(t)
-        coeff = _MINUS_LAMBDA ** excess
+        coeff = _minus_weight_power(excess)
     return LinComb.of(t, coeff)
 
 

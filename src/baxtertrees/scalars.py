@@ -7,9 +7,20 @@ concrete integer weight is an explicit operation (`LambdaPoly.eval_at`).
 
 Coefficients are arbitrary-precision Python integers, so products never
 overflow silently.  Values are immutable and safe to share.
+
+Sums and products come from two tables, `_sum` and `_product`, keyed on
+the operands' coefficient tuples.  The tree products meet few distinct
+coefficients and combine them over and over, so nearly every operation
+is a table hit, and it returns the one object already made for that
+key: equal results are mostly one shared value, and comparing two
+combinations mostly stops at the identity check.  The tables are
+unbounded ``lru_cache`` functions, so ``cache_info()`` shows their size
+and ``cache_clear()`` empties them.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .scan import Cursor, int_text
 
@@ -71,13 +82,7 @@ class LambdaPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return LambdaPoly(out)
+        return _sum(self.coeffs, other.coeffs)
 
     __radd__ = __add__
 
@@ -100,15 +105,7 @@ class LambdaPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci:
-                for j, cj in enumerate(b):
-                    out[i + j] += ci * cj
-        return LambdaPoly(out)
+        return _product(self.coeffs, other.coeffs)
 
     __rmul__ = __mul__
 
@@ -182,6 +179,31 @@ class LambdaPoly:
 ZERO = LambdaPoly()
 ONE = LambdaPoly((1,))
 LAMBDA = LambdaPoly((0, 1))
+
+
+@lru_cache(maxsize=None)
+def _sum(a: tuple, b: tuple) -> LambdaPoly:
+    """The polynomial with coefficients ``a`` plus the one with ``b``."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return LambdaPoly(out)
+
+
+@lru_cache(maxsize=None)
+def _product(a: tuple, b: tuple) -> LambdaPoly:
+    """The polynomial with coefficients ``a`` times the one with ``b``,
+    by the schoolbook rule."""
+    if not a or not b:
+        return ZERO
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ci in enumerate(a):
+        if ci:
+            for j, cj in enumerate(b):
+                out[i + j] += ci * cj
+    return LambdaPoly(out)
 
 
 def parse_poly(text: str) -> LambdaPoly:

@@ -49,7 +49,7 @@ __all__ = [
     "parse_tree", "render_tree", "tree_sort_key",
     "enumerate_trees", "enumerate_zero_root", "enumerate_positive_root",
     "count_trees",
-    "PTree", "PlanarTree", "parse_planar", "render_planar",
+    "PTree", "PlanarTree", "intern_planar", "parse_planar", "render_planar",
     "planar_trees", "binary_trees", "is_binary",
 ]
 
@@ -64,7 +64,9 @@ INF = float("inf")
 # live tree returns that tree, so equal trees are one object and compare
 # and hash by identity.  Each intern table maps a tree's parts to a weak
 # reference, so a tree leaves its table when the last reference to it
-# goes; the tables cache no results.
+# goes; the tables cache no results.  Code that already holds a tree's
+# parts as tuples builds it through `intern_node` or `intern_planar`,
+# skipping the class call and its conversion to tuples.
 #
 # A tree may hold one derived tree: a decorated tree its root-raised
 # image (`raised`, in ``_raised``), a planar tree its decorated image
@@ -564,11 +566,7 @@ class PTree:
     is_leaf = False
 
     def __new__(cls, children: Sequence["PlanarTree"]):
-        key = tuple(children)
-        ref = _PLANAR.get(key)
-        if ref is not None and (t := ref()) is not None:
-            return t
-        return _intern(cls, _PLANAR, key)
+        return intern_planar(tuple(children))
 
     def _fill(self, children: tuple) -> None:
         if len(children) < 2:
@@ -603,6 +601,16 @@ class PTree:
 
 
 PlanarTree = Union[Leaf, PTree]
+
+
+def intern_planar(children: tuple) -> PTree:
+    """The planar tree with these children, given as a tuple: the live
+    one if there is one, else a new one.  Every planar tree is built
+    here; `PTree` converts its argument to a tuple and calls it."""
+    ref = _PLANAR.get(children)
+    if ref is not None and (t := ref()) is not None:
+        return t
+    return _intern(PTree, _PLANAR, children)
 
 
 def render_planar(t: PlanarTree) -> str:

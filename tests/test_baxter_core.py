@@ -15,6 +15,7 @@ from baxtertrees.baxter_core import (
     addmul,
     beta,
     beta_lc,
+    bilinear,
     circle,
     circle_lc,
     circle_power,
@@ -282,6 +283,19 @@ def test_morphism_collapses_node_labels_to_weights():
     assert got == LinComb.of(t("1(. 1 .)"), -LAMBDA)
 
 
+def test_weight_powers_match_repeated_multiplication():
+    # (-l)^k is built as one monomial; it must equal the power.
+    base = t("0(. 1 .)")
+    for family in (F22, FI2):
+        for k in range(7):
+            tree, coeff = baxter_core._beta_term(family, with_root_label(base, k))
+            assert tree is with_root_label(base, 1)
+            assert coeff == (-LAMBDA) ** k, (family, k)
+    for label in (40, 41):
+        got = morphism(FII, FI2, with_root_label(base, label))
+        assert got == LinComb.of(with_root_label(base, 1), (-LAMBDA) ** (label - 1))
+
+
 def test_morphism_respects_operator_and_product():
     for a in small_trees(FII, 2):
         assert morphism_lc(FII, F22, beta(FII, a)) == beta_lc(F22, morphism(FII, F22, a))
@@ -400,6 +414,29 @@ def test_bilinear_products_match_the_reference_sum():
         got = op_lc(u, v)
         assert e not in got.terms
         assert got == reference_bilinear(op, u, v)
+
+
+def test_bilinear_with_unit_right_coefficients_matches_the_multiplying_loop():
+    # bilinear skips a product with a unit coefficient on either side;
+    # the loop below multiplies whenever the left coefficient is not one.
+    def multiplying(op, u, v):
+        out = {}
+        for x, cx in u.terms.items():
+            unit = cx.coeffs == (1,)
+            for y, cy in v.terms.items():
+                addmul(out, op(x, y), cy if unit else cx * cy)
+        return LinComb(out)
+
+    rng = random.Random(20261)
+    values = [-ONE, LAMBDA, -LAMBDA, LambdaPoly((2, -1)), LambdaPoly((3,))]
+    for op, _, pool in kernel_cases():
+        def terms(x, y, op=op):
+            return op(x, y).terms.items()
+        for _ in range(8):
+            u = LinComb([(rng.choice(pool), rng.choice(values)) for _ in range(3)])
+            v = LinComb([(y, ONE) for y in rng.sample(pool, 3)])
+            assert u.terms and all(c != ONE for c in u.terms.values())
+            assert bilinear(terms, u, v) == multiplying(terms, u, v)
 
 
 def test_memoized_results_are_never_mutated():

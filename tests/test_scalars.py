@@ -1,8 +1,11 @@
 """Ring arithmetic and parsing for integer polynomials in the weight l."""
 
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+from baxtertrees import scalars
 from baxtertrees.errors import ParseError
 from baxtertrees.scalars import LAMBDA, ONE, ZERO, LambdaPoly, parse_poly
 
@@ -82,3 +85,70 @@ def test_parse_poly_inputs():
         parse_poly("l^")
     with pytest.raises(ParseError):
         parse_poly("x + 1")
+
+
+# -- the sum and product tables ----------------------------------------------
+
+def schoolbook_sum(a, b):
+    out = [0] * max(len(a), len(b))
+    for k, c in enumerate(a):
+        out[k] += c
+    for k, c in enumerate(b):
+        out[k] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def schoolbook_product(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ci in enumerate(a):
+        for j, cj in enumerate(b):
+            out[i + j] += ci * cj
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def random_coeffs(rng):
+    """Zero, short and long polynomials, with negative coefficients and
+    coefficients past 64 bits."""
+    size = rng.randrange(6)
+    big = rng.random() < 0.3
+    return tuple(rng.randrange(-2 ** 70, 2 ** 70) if big and rng.random() < 0.5
+                 else rng.randrange(-3, 4) for _ in range(size))
+
+
+def test_sums_and_products_match_the_schoolbook_rule():
+    rng = random.Random(1717)
+    cases = [((), ()), ((), (1,)), ((0, 1), ()), ((2 ** 64 + 1,), (-(2 ** 64), 5))]
+    cases += [(random_coeffs(rng), random_coeffs(rng)) for _ in range(400)]
+    for a, b in cases:
+        p, q = LambdaPoly(a), LambdaPoly(b)
+        a, b = p.coeffs, q.coeffs
+        assert (p + q).coeffs == schoolbook_sum(a, b), (a, b)
+        assert (p * q).coeffs == schoolbook_product(a, b), (a, b)
+        k = rng.choice([0, 1, -1, 7, -(2 ** 66)])
+        for got in (p + k, k + p):
+            assert got.coeffs == schoolbook_sum(a, (k,)), (a, k)
+        for got in (p * k, k * p):
+            assert got.coeffs == schoolbook_product(a, (k,)), (a, k)
+    assert len({len(a) for a, _ in cases}) > 3
+
+
+def test_equal_operands_share_one_result():
+    a, b = LambdaPoly((1, -2, 3)), LambdaPoly((0, 2 ** 65))
+    assert a * b is LambdaPoly((1, -2, 3)) * LambdaPoly((0, 2 ** 65))
+    assert a + b is LambdaPoly((1, -2, 3)) + LambdaPoly((0, 2 ** 65))
+    assert LAMBDA * 0 is ZERO
+
+
+def test_results_survive_clearing_the_tables():
+    a, b = LambdaPoly((3, -1)), LambdaPoly((0, 0, 2 ** 64))
+    before = (a + b, a * b)
+    for table in (scalars._sum, scalars._product):
+        table.cache_clear()
+        assert table.cache_info().currsize == 0
+    after = (a + b, a * b)
+    assert after == before
+    assert [x.coeffs for x in after] == [(3, -1, 2 ** 64), (0, 0, 3 * 2 ** 64, -(2 ** 64))]

@@ -34,6 +34,7 @@ from baxtertrees.trees import (
     enumerate_positive_root,
     enumerate_trees,
     enumerate_zero_root,
+    intern_planar,
     is_binary,
     is_valid,
     parse_family,
@@ -346,6 +347,27 @@ def test_rejected_planar_node_leaves_nothing_in_the_table():
             PTree(kids)
         assert kids not in trees._PLANAR
     assert len(trees._PLANAR) == size
+
+
+def test_the_planar_constructor_goes_through_intern_planar():
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            for pt in planar_trees(n, m):
+                kids = list(pt.children)
+                assert PTree(kids) is intern_planar(tuple(kids)) is pt
+    fresh = (LEAF, LEAF, LEAF, LEAF, LEAF, LEAF, LEAF)
+    built = intern_planar(fresh)
+    assert PTree(list(fresh)) is built
+
+
+def test_a_rejected_planar_leaf_enters_neither_table():
+    sizes = len(trees._PLANAR), len(trees._DECORATED)
+    for build in (PTree, intern_planar):
+        with pytest.raises(DomainError):
+            build((LEAF,))
+        assert (LEAF,) not in trees._PLANAR
+        assert not any(key[1] == (LEAF,) for key in trees._DECORATED)
+    assert (len(trees._PLANAR), len(trees._DECORATED)) == sizes
 
 
 # -- hash-consed decorated trees ---------------------------------------------
