@@ -230,19 +230,12 @@ def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
 def bilinear(op: Callable, u: LinComb, v: LinComb) -> LinComb:
     """The bilinear extension of a basis product ``op(x, y)``, which
     returns the ``(element, coefficient)`` pairs of its product; the one
-    loop over the terms of two combinations.  A product with a unit
-    coefficient on either side is skipped: it would only copy."""
+    loop over the terms of two combinations."""
     out: dict = {}
     for x, cx in u.terms.items():
         unit = cx.coeffs == (1,)
         for y, cy in v.terms.items():
-            if unit:
-                c = cy
-            elif cy.coeffs == (1,):
-                c = cx
-            else:
-                c = cx * cy
-            addmul(out, op(x, y), c)
+            addmul(out, op(x, y), cy if unit else cx * cy)
     return _wrap(out)
 
 

@@ -11,14 +11,14 @@ the bare leaf, which acts as its unit.  Grafting here performs no leaf
 merging — a deliberately separate code path from the decorated-tree
 graft.
 
-Each operation has its own seam function, `_left`, `_right` and
-`_dot`, which differ only in which children meet and which stay: each
-returns the terms of one pair's product as ``(tree, coefficient)``
-pairs, with no combination built in between (a seam is injective), and
-grafts each tree of the meeting children's star product back through
-`intern_planar`.  The memoized `_star` adds the three seams through
-`addmul`, and `dend_op` is the bilinear extension (`bilinear`) of the
-seam function that `_SEAMS` names for its operation.
+The three recursions differ only in which children meet and which
+stay, so one seam helper (`_seam`) computes all three: it returns the
+terms of one pair's product as ``(tree, coefficient)`` pairs, with no
+combination built in between (the seam is injective), grafts each tree
+of the meeting factors' star product back through `intern_planar`, and
+hands star to the memoized `_star`.  `_star` adds its three seams
+through `addmul`, and `dend_op` is the bilinear extension (`bilinear`)
+of `_seam` for every operation.
 
 Dropping the middle product at weight 0 gives a dendriform dialgebra;
 its free object lives on binary trees.  It is implemented as its own
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Union
+from typing import Iterable, Union
 
 from .baxter_core import (
     LinComb, _wrap, addmul, beta_lc, bilinear, circle_lc, star_lc,
@@ -90,43 +90,35 @@ def _star(variant: str, x: PlanarTree, y: PlanarTree) -> LinComb:
     if y.is_leaf:
         return LinComb.of(x)
     out: dict = {}
-    addmul(out, _left(variant, x, y), ONE)
-    addmul(out, _right(variant, x, y), ONE)
+    addmul(out, _seam(variant, "left", x, y), ONE)
+    addmul(out, _seam(variant, "right", x, y), ONE)
     if variant == "trialgebra":
-        addmul(out, _dot(variant, x, y), LAMBDA)
+        addmul(out, _seam(variant, "dot", x, y), LAMBDA)
     return _wrap(out)
 
 
-def _left(variant: str, x: PTree, y: PTree) -> list:
-    """``x < y``: x's last child meets the whole of y, and each tree of
-    their star product takes that child's place."""
-    head = x.children[:-1]
-    return [(intern_planar(head + (t,)), c)
-            for t, c in _star(variant, x.children[-1], y).terms.items()]
+def _seam(variant: str, op: str, x: PlanarTree, y: PlanarTree) -> Iterable:
+    """The terms of ``x op y`` as ``(tree, coefficient)`` pairs, for any
+    of the four operations.
 
-
-def _right(variant: str, x: PTree, y: PTree) -> list:
-    """``x > y``: the whole of x meets y's first child, and each tree of
-    their star product takes that child's place."""
-    tail = y.children[1:]
-    return [(intern_planar((t,) + tail), c)
-            for t, c in _star(variant, x, y.children[0]).terms.items()]
-
-
-def _dot(variant: str, x: PTree, y: PTree) -> list:
-    """The middle product: x's last child meets y's first child, and each
-    tree of their star product takes the place of both."""
-    head, tail = x.children[:-1], y.children[1:]
-    return [(intern_planar(head + (t,) + tail), c)
-            for t, c in _star(variant, x.children[-1], y.children[0]).terms.items()]
-
-
-def _star_terms(variant: str, x: PlanarTree, y: PlanarTree):
-    """``x * y``, read from the memoized `_star`."""
-    return _star(variant, x, y).terms.items()
-
-
-_SEAMS = {"left": _left, "right": _right, "dot": _dot, "star": _star_terms}
+    Star is the memoized `_star`.  Left splits x at its last child,
+    right splits y at its first child, dot splits both; the split-off
+    children (or the whole unsplit factor) meet through `_star`, and each
+    tree of that product is grafted back between the children the split
+    kept.  The seam is injective, so no two of its terms collide.
+    """
+    if op == "star":
+        return _star(variant, x, y).terms.items()
+    if op == "right":
+        a, head = x, ()
+    else:
+        a, head = x.children[-1], x.children[:-1]
+    if op == "left":
+        b, tail = y, ()
+    else:
+        b, tail = y.children[0], y.children[1:]
+    middle = _star(variant, a, b).terms
+    return ((intern_planar(head + (t,) + tail), c) for t, c in middle.items())
 
 
 def dend_op(
@@ -151,8 +143,7 @@ def dend_op(
     xc, yc = _as_comb(x), _as_comb(y)
     _check_basis(variant, xc, allow_leaf=op == "star")
     _check_basis(variant, yc, allow_leaf=op == "star")
-    seam = _SEAMS[op]
-    return bilinear(lambda a, b: seam(variant, a, b), xc, yc)
+    return bilinear(lambda a, b: _seam(variant, op, a, b), xc, yc)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from baxtertrees.baxter_core import (
     addmul,
     beta,
     beta_lc,
-    bilinear,
     circle,
     circle_lc,
     circle_power,
@@ -414,29 +413,6 @@ def test_bilinear_products_match_the_reference_sum():
         got = op_lc(u, v)
         assert e not in got.terms
         assert got == reference_bilinear(op, u, v)
-
-
-def test_bilinear_with_unit_right_coefficients_matches_the_multiplying_loop():
-    # bilinear skips a product with a unit coefficient on either side;
-    # the loop below multiplies whenever the left coefficient is not one.
-    def multiplying(op, u, v):
-        out = {}
-        for x, cx in u.terms.items():
-            unit = cx.coeffs == (1,)
-            for y, cy in v.terms.items():
-                addmul(out, op(x, y), cy if unit else cx * cy)
-        return LinComb(out)
-
-    rng = random.Random(20261)
-    values = [-ONE, LAMBDA, -LAMBDA, LambdaPoly((2, -1)), LambdaPoly((3,))]
-    for op, _, pool in kernel_cases():
-        def terms(x, y, op=op):
-            return op(x, y).terms.items()
-        for _ in range(8):
-            u = LinComb([(rng.choice(pool), rng.choice(values)) for _ in range(3)])
-            v = LinComb([(y, ONE) for y in rng.sample(pool, 3)])
-            assert u.terms and all(c != ONE for c in u.terms.values())
-            assert bilinear(terms, u, v) == multiplying(terms, u, v)
 
 
 def test_memoized_results_are_never_mutated():

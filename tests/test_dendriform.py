@@ -3,7 +3,6 @@
 import itertools
 import random
 
-from baxtertrees import dendriform
 from baxtertrees.baxter_core import LinComb, lower_root
 from baxtertrees.counting import catalan, dim_formula
 from baxtertrees.dendriform import (
@@ -71,10 +70,6 @@ def test_leaf_is_only_a_star_unit():
     assert dend_op("trialgebra", "star", LEAF, a) == LinComb(a)
     with pytest.raises(DomainError):
         dend_op("trialgebra", "left", LEAF, a)
-
-
-def test_every_operation_has_one_seam_function():
-    assert sorted(dendriform._SEAMS) == sorted(dendriform._OPS)
 
 
 def test_dialgebra_has_no_middle():
