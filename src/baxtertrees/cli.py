@@ -36,6 +36,7 @@ from .paths import (
     parse_path, render_path, rotate_from_motzkin, rotate_to_motzkin,
     schroder_params, to_colored_motzkin, to_plus_class, to_zero_class,
 )
+from .scan import int_text
 from .trees import (
     F22, Family, enumerate_trees, parse_family, parse_planar, parse_tree,
     require_valid,
@@ -305,7 +306,7 @@ def _cmd_word(args) -> int:
     elif args.action == "beta":
         w = beta_word(parse_word(args.word, variant))
     else:  # degree
-        n, m = word_bidegree(parse_word(args.word, variant))
+        n, m = map(int_text, word_bidegree(parse_word(args.word, variant)))
         if args.format == "records":
             print(f"n\t{n}\nm\t{m}")
         else:

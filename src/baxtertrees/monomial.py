@@ -5,6 +5,8 @@ algebra endomorphism sending both letters to ``x1``; it is idempotent,
 and the pair is the free object on one generator among algebras with an
 idempotent morphism.  Imposing ``x0^2 = x0`` and ``x1^2 = x1`` yields
 the quotient variant whose normal forms are the alternating words.
+A `Word` is stored as its runs of equal letters, so an operation costs
+the number of runs and no exponent is spelled out letter by letter.
 
 ``pi_map`` projects the forced-node-label tree algebras onto these word
 algebras: the generator goes to ``x0``, the intrinsic operator to the
@@ -30,12 +32,13 @@ insists they coincide.
 
 from __future__ import annotations
 
-from itertools import product as _iter_product
-from typing import Iterable, Sequence, Union
+from itertools import product as _iter_product, repeat
+from operator import itemgetter
+from typing import Iterable, Union
 
 from .baxter_core import LinComb
 from .errors import DomainError, ParseError
-from .scan import Cursor
+from .scan import Cursor, int_text
 from .trees import F22, FI2, Family, Node, Tree, bidegree, require_valid
 
 __all__ = [
@@ -58,52 +61,66 @@ def word_variant(text: str) -> str:
     raise DomainError(f"unknown word variant {text!r}")
 
 
-def _collapsed(letters: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for b in letters:
-        if not out or out[-1] != b:
-            out.append(b)
-    return tuple(out)
-
-
 class Word:
     """A word in the letters x0, x1, tagged with its algebra variant.
 
-    Letters are stored as 0/1 integers.  The empty word is the algebra
+    ``runs`` holds it as ``(letter, length)`` pairs, letter 0 or 1, equal
+    neighbours merged, lengths at least 1: ``x1^K`` is one pair however
+    large K is.  ``letters`` spells it out.  The empty word is the algebra
     unit; it appears only inside projection computations and is never a
     basis element of a combination.
     """
 
-    __slots__ = ("letters", "variant", "_hash")
+    __slots__ = ("runs", "variant", "_hash")
 
     def __init__(self, letters: Iterable[int], variant: str):
-        self.letters = tuple(letters)
-        if any(b not in (0, 1) for b in self.letters):
+        letters = tuple(letters)
+        if any(b not in (0, 1) for b in letters):
             raise DomainError("letters must be 0 (for x0) or 1 (for x1)")
         if variant not in _VARIANTS:
             raise DomainError(f"unknown word variant {variant!r}")
+        self._fill(zip(letters, repeat(1)), variant)
+
+    @classmethod
+    def _of(cls, runs: Iterable[tuple[int, int]], variant: str) -> Word:
+        """The word of runs that may repeat a letter or be empty; unchecked."""
+        w = cls.__new__(cls)
+        w._fill(runs, variant)
+        return w
+
+    def _fill(self, runs: Iterable[tuple[int, int]], variant: str) -> None:
+        merged: list[tuple[int, int]] = []
+        last = None
+        for b, k in runs:
+            if b == last:
+                merged[-1] = (b, merged[-1][1] + k)
+            elif k:
+                merged.append((b, k))
+                last = b
+        self.runs = tuple(merged)
         self.variant = variant
-        self._hash = hash((self.letters, self.variant))
+        self._hash = hash((self.runs, variant))
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return tuple(b for b, k in self.runs for _ in range(k))
 
     @property
     def is_normal(self) -> bool:
-        """Normal form: no two equal adjacent letters (always true for
-        the free variant)."""
-        if self.variant == "infinity":
-            return True
-        return all(a != b for a, b in zip(self.letters, self.letters[1:]))
+        """Normal form: every run has length 1 (or the free variant)."""
+        return self.variant == "infinity" or all(k == 1 for _, k in self.runs)
 
     def sort_key(self):
-        # Highest degree first in displayed combinations, matching the
-        # tree-basis display order.
-        return (-len(self.letters), -word_bidegree(self)[1], self.letters)
+        # Highest degree first, as trees display; then as letter tuples
+        # order.  Where two words of one length first part, the shorter
+        # run goes on with the other letter: x0, which sorts first, after
+        # x1s, and x1 after x0s.  So an x1 run keys by k, an x0 run by -k.
+        n, m = word_bidegree(self)
+        return (-n, -m, tuple([(b, k if b else -k) for b, k in self.runs]))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Word)
-            and self.letters == other.letters
-            and self.variant == other.variant
-        )
+        return (isinstance(other, Word)
+                and (self.runs, self.variant) == (other.runs, other.variant))
 
     def __hash__(self):
         return self._hash
@@ -117,44 +134,34 @@ class Word:
 
 def render_word(w: Word) -> str:
     """Run-length text like ``x1^2 x0^3``; the empty word prints as 1."""
-    if not w.letters:
-        return "1"
-    parts = []
-    k = 0
-    while k < len(w.letters):
-        j = k
-        while j < len(w.letters) and w.letters[j] == w.letters[k]:
-            j += 1
-        run = j - k
-        base = f"x{w.letters[k]}"
-        parts.append(base if run == 1 else f"{base}^{run}")
-        k = j
-    return " ".join(parts)
+    return " ".join(f"x{b}^{int_text(k)}" if k > 1 else f"x{b}"
+                    for b, k in w.runs) or "1"
 
 
 def parse_word(text: str, variant: str = "infinity") -> Word:
     """Parse ``x1^2 x0^3``-style text.  Variant-two words must already
     be in normal form (use the quotient map to collapse free words)."""
     variant = word_variant(variant)
-    letters: list[int] = []
-    toks = text.split()
-    if not toks:
-        raise ParseError("empty word text", text, 0)
-    for tok in toks:
-        base, _, exp = tok.partition("^")
+    cur = Cursor(text)
+    runs: list[tuple[int, int]] = []
+    while cur.ws():
+        start = cur.pos
+        base, caret, exp = cur.span(lambda ch: not ch.isspace()).partition("^")
         if base not in ("x0", "x1"):
-            raise ParseError(f"unknown letter {base!r}", text, text.find(tok))
+            raise cur.error(f"unknown letter {base!r}", start)
         k = 1
-        if exp:
-            cur = Cursor(exp)
+        if caret:
+            num = Cursor(exp)
             try:
-                k = cur.nat()
+                k = num.nat()
             except ParseError:
                 k = 0
-            if k < 1 or cur.peek():
-                raise ParseError(f"bad exponent {exp!r}", text, text.find(tok))
-        letters.extend([int(base[1])] * k)
-    w = Word(letters, variant)
+            if k < 1 or num.peek():
+                raise cur.error(f"bad exponent {exp!r}", start)
+        runs.append((int(base[1]), k))
+    if not runs:
+        raise ParseError("empty word text", text, 0)
+    w = Word._of(runs, variant)
     if not w.is_normal:
         raise ParseError("variant-two word is not in normal form "
                          "(adjacent equal letters)", text, 0)
@@ -165,42 +172,32 @@ def parse_word(text: str, variant: str = "infinity") -> Word:
 # Algebra operations
 # ---------------------------------------------------------------------------
 
+def word_quotient(w: Word) -> Word:
+    """The quotient map from the free variant onto the idempotent one."""
+    return Word._of(((b, 1) for b, _ in w.runs), "two")
+
+
 def normalize_word(w: Word) -> Word:
     """Collapse equal adjacent letters (the identity in the free
     variant, where no relation holds)."""
-    if w.variant == "infinity":
-        return w
-    return Word(_collapsed(w.letters), w.variant)
-
-
-def word_quotient(w: Word) -> Word:
-    """The quotient map from the free variant onto the idempotent one."""
-    return Word(_collapsed(w.letters), "two")
+    return w if w.variant == "infinity" else word_quotient(w)
 
 
 def concat_words(w: Word, v: Word) -> Word:
     """Product of the word algebra (normalized in the quotient)."""
     if w.variant != v.variant:
         raise DomainError("cannot concatenate words of different variants")
-    out = Word(w.letters + v.letters, w.variant)
-    return normalize_word(out) if w.variant == "two" else out
+    return normalize_word(Word._of(w.runs + v.runs, w.variant))
 
 
 def beta_word(w: Word) -> Word:
     """The idempotent morphism: every letter becomes x1."""
-    out = Word((1,) * len(w.letters), w.variant)
-    return normalize_word(out) if w.variant == "two" else out
+    return normalize_word(Word._of(((1, word_bidegree(w)[0]),), w.variant))
 
 
 def word_bidegree(w: Word) -> tuple[int, int]:
     """(letter count, number of x1-blocks)."""
-    blocks = 0
-    prev = 0
-    for b in w.letters:
-        if b == 1 and prev != 1:
-            blocks += 1
-        prev = b
-    return (len(w.letters), blocks)
+    return (sum(map(itemgetter(1), w.runs)), sum(map(itemgetter(0), w.runs)))
 
 
 def enumerate_words(variant: str, n: int, m: int | None = None) -> tuple[Word, ...]:
@@ -242,16 +239,12 @@ def pi_word(variant: str, t: Tree) -> Word:
 
 def _pi_formula(variant: str, t: Tree) -> Word:
     if t.label > 0:
-        letters: Sequence[int] = (1,) * bidegree(t)[0]
+        runs = [(1, bidegree(t)[0])]
     else:
-        out: list[int] = []
-        for k, child in enumerate(t.children):
-            out.extend([1] * bidegree(child)[0])
-            if k < len(t.angles):
-                out.extend([0] * t.angles[k])
-        letters = out
-    w = Word(letters, variant)
-    return normalize_word(w) if variant == "two" else w
+        runs = [(1, bidegree(t.children[0])[0])]
+        for angle, child in zip(t.angles, t.children[1:]):
+            runs += ((0, angle), (1, bidegree(child)[0]))
+    return normalize_word(Word._of(runs, variant))
 
 
 def pi_word_recursive(variant: str, t: Tree) -> Word:

@@ -1,5 +1,5 @@
-"""The one text scanner behind the polynomial, tree, planar-tree and
-linear-combination parsers.
+"""The one text scanner behind the polynomial, tree, planar-tree, word
+and linear-combination parsers.
 
 A number is a run of decimal digits (``str.isdecimal``: ``²`` and other
 digit-like symbols that ``int`` refuses are not digits), and a number
@@ -10,6 +10,7 @@ writes a number, and one too long for ``str`` is a domain error.
 from __future__ import annotations
 
 import sys
+from typing import Callable
 
 from .errors import DomainError, ParseError
 
@@ -54,14 +55,18 @@ class Cursor:
             return True
         return False
 
-    def digits(self) -> str:
-        """Step over a run of decimal digits and return it."""
+    def span(self, keep: Callable[[str], bool]) -> str:
+        """Step over the characters that ``keep`` accepts; return them."""
         s, j = self.text, self.pos
         k = j
-        while k < len(s) and s[k].isdecimal():
+        while k < len(s) and keep(s[k]):
             k += 1
         self.pos = k
         return s[j:k]
+
+    def digits(self) -> str:
+        """Step over a run of decimal digits and return it."""
+        return self.span(str.isdecimal)
 
     def nat(self) -> int:
         start = self.pos

@@ -226,6 +226,13 @@ def test_word_actions(capsys):
     assert (rec["n"], rec["m"]) == ("4", "2")
 
 
+def test_twenty_digit_exponents_and_angles_print(capsys):
+    big = "99999999999999999999"
+    assert run(capsys, "word", "degree", f"x1^{big}") == (EXIT_OK, f"{big} 1\n", "")
+    assert run(capsys, "pi", "--family", "inf,2", f"0(. {big} .)") == (
+        EXIT_OK, f"x0^{big}\n", "")
+
+
 @pytest.mark.parametrize("argv, err", [
     (["word", "normalize", "x1", "x0"], "normalize takes one word"),
     (["word", "degree", "x1", "x0^2"], "degree takes one word"),
@@ -342,6 +349,9 @@ NINES = "9" * 4300  # the most digits int() and str() convert
     ["beta", "--family", "inf,inf", f"{NINES}(. 1 .)"],
     # A coefficient squared.
     ["product", "--family", "inf,inf", f"{NINES}*1(. 1 .)", f"{NINES}*1(. 1 .)"],
+    # Two 4300-digit exponents of x1 add up to a 4301-digit one.
+    ["word", "concat", f"x1^{NINES}", f"x1^{NINES}"],
+    ["word", "degree", f"x1^{NINES} x1^{NINES}"],
 ])
 def test_numbers_too_long_to_print_are_domain_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 """Two-letter word algebras and the projections from the tree algebras."""
 
 import itertools
+import tracemalloc
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +48,11 @@ def trees_upto(family, top):
     return out
 
 
+def trees_of_total_degree_upto(family, top):
+    return [tree for n in range(1, top + 1) for m in range(top + 1 - n)
+            for tree in enumerate_trees(family, n, m)]
+
+
 # -- words ------------------------------------------------------------------
 
 def test_word_text_round_trip():
@@ -62,6 +68,19 @@ def test_parse_word_rejects_bad_text():
             parse_word(bad)
     with pytest.raises(ParseError):
         parse_word("x1 x1", "two")  # not in normal form
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("x1 1", "unknown letter '1'", 3),  # '1' also sits inside 'x1'
+    ("x0^2 2", "unknown letter '2'", 5),
+    ("x1^", "bad exponent ''", 0),  # a caret needs digits
+    ("x1^ x0", "bad exponent ''", 0),
+])
+def test_parse_word_errors_point_at_their_token(text, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_word(text)
+    assert info.value.pos == pos
+    assert str(info.value).startswith(f"{message} (at position {pos}:")
 
 
 def test_word_variant_aliases():
@@ -115,7 +134,7 @@ def test_projection_known_values():
 
 def test_projection_formula_matches_recursion():
     for variant, family in (("infinity", FI2), ("two", F22)):
-        for tree in trees_upto(family, 3):
+        for tree in trees_of_total_degree_upto(family, 6):
             assert pi_word(variant, tree) == pi_word_recursive(variant, tree)
 
 
@@ -173,3 +192,24 @@ def test_projection_images_follow_block_count():
         w = pi_word("infinity", tree)
         if tree.label > 0:
             assert set(w.letters) <= {1}
+
+
+# -- no exponent spelled out ------------------------------------------------
+
+def test_no_word_operation_spells_out_an_exponent():
+    big = 4_000_000
+    tracemalloc.start()
+    try:
+        w = parse_word(f"x1^{big} x0")
+        got = (w.runs, concat_words(w, w).runs, beta_word(w).runs,
+               word_quotient(w).runs, word_bidegree(w), render_word(w),
+               pi_word("infinity", t(f"0(. {big} 1(. 3 .))")).runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert got == (
+        ((1, big), (0, 1)), ((1, big), (0, 1), (1, big), (0, 1)),
+        ((1, big + 1),), ((1, 1), (0, 1)), (big + 1, 1), f"x1^{big} x0",
+        ((0, big), (1, 3)),
+    )

@@ -39,7 +39,7 @@ EXAMPLES = examples()
 
 
 def test_readme_has_the_examples():
-    assert len(EXAMPLES) == 9
+    assert len(EXAMPLES) == 10
 
 
 @pytest.mark.parametrize("argv, pattern", EXAMPLES,
