@@ -211,8 +211,11 @@ def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
     This is the one place where terms merge: construction, sums,
     products, basis maps and linear extensions all come here.  A zero
     result is dropped, whether it cancels against ``acc`` or is zero
-    from the start.  ``terms`` is only read, since it may view a
-    memoized result shared with other callers.
+    from the start.  Coefficients are integer polynomials, so a product
+    of two nonzero ones is nonzero: zeros are looked for only on a merge
+    and in a term that is new to ``acc``, which is zero only when its
+    coefficient or ``coeff`` is.  ``terms`` is only read, since it may
+    view a memoized result shared with other callers.
     """
     unit = coeff.coeffs == (1,)
     for elem, c in terms:
@@ -221,20 +224,25 @@ def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
         old = acc.get(elem)
         if old is not None:
             c = old + c
-        if c.is_zero:
-            acc.pop(elem, None)
-        else:
-            acc[elem] = c
+            if not c.coeffs:
+                del acc[elem]
+                continue
+        elif not c.coeffs:
+            continue
+        acc[elem] = c
 
 
-def bilinear(op: Callable, u: LinComb, v: LinComb) -> LinComb:
+def bilinear(op: Callable, u, v) -> LinComb:
     """The bilinear extension of a basis product ``op(x, y)``, which
     returns the ``(element, coefficient)`` pairs of its product; the one
-    loop over the terms of two combinations."""
+    loop over the terms of two factors.  Each factor is a `LinComb` or a
+    bare basis element, which is its one term with coefficient one."""
     out: dict = {}
-    for x, cx in u.terms.items():
+    u_terms = u.terms.items() if isinstance(u, LinComb) else ((u, ONE),)
+    v_terms = v.terms.items() if isinstance(v, LinComb) else ((v, ONE),)
+    for x, cx in u_terms:
         unit = cx.coeffs == (1,)
-        for y, cy in v.terms.items():
+        for y, cy in v_terms:
             addmul(out, op(x, y), cy if unit else cx * cy)
     return _wrap(out)
 
@@ -537,11 +545,15 @@ def star(family: Family, u: Tree, v: Tree) -> LinComb:
     return _wrap(out)
 
 
-def circle_lc(family: Family, u: LinComb, v: LinComb) -> LinComb:
+def circle_lc(family: Family, u: LinComb | Tree, v: LinComb | Tree) -> LinComb:
+    """The multiplication, extended bilinearly; either factor may be a
+    combination or a bare basis tree."""
     return bilinear(lambda x, y: circle(family, x, y).terms.items(), u, v)
 
 
-def star_lc(family: Family, u: LinComb, v: LinComb) -> LinComb:
+def star_lc(family: Family, u: LinComb | Tree, v: LinComb | Tree) -> LinComb:
+    """The double product, extended bilinearly; either factor may be a
+    combination or a bare basis tree."""
     return bilinear(lambda x, y: star(family, x, y).terms.items(), u, v)
 
 
@@ -550,7 +562,7 @@ def circle_power(family: Family, t: Tree, k: int) -> LinComb:
         raise DomainError("power must be at least 1")
     out = LinComb.of(t)
     for _ in range(k - 1):
-        out = circle_lc(family, out, LinComb.of(t))
+        out = circle_lc(family, out, t)
     return out
 
 

@@ -13,12 +13,14 @@ graft.
 
 The three recursions differ only in which children meet and which
 stay, so one seam helper (`_seam`) computes all three: it returns the
-terms of one pair's product as ``(tree, coefficient)`` pairs, with no
-combination built in between (the seam is injective), grafts each tree
-of the meeting factors' star product back through `intern_planar`, and
-hands star to the memoized `_star`.  `_star` adds its three seams
-through `addmul`, and `dend_op` is the bilinear extension (`bilinear`)
-of `_seam` for every operation.
+terms of one pair's product as a list of ``(tree, coefficient)``
+pairs, with no combination built in between (the seam is injective),
+grafts each tree of the meeting factors' star product back through
+`intern_planar`, and hands star to the memoized `_star`.  `_star`
+stores its three seams side by side, since their supports are
+disjoint, and `dend_op` is the bilinear extension (`bilinear`) of
+`_seam` for every operation, with a bare tree on either side taken as
+one term.
 
 Dropping the middle product at weight 0 gives a dendriform dialgebra;
 its free object lives on binary trees.  It is implemented as its own
@@ -36,12 +38,12 @@ operation-preserving, and both are exercised exhaustively in tests.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Iterable, Union
 
 from .baxter_core import (
-    LinComb, _wrap, addmul, beta_lc, bilinear, circle_lc, star_lc,
+    LinComb, _wrap, beta, beta_lc, bilinear, circle_lc, star_lc,
 )
 from .errors import DomainError
 from .paths import _restore
@@ -62,12 +64,15 @@ def _as_comb(v: Union[PlanarTree, LinComb]) -> LinComb:
     return v if isinstance(v, LinComb) else _wrap({v: ONE})
 
 
-def _check_basis(variant: str, v: LinComb, allow_leaf: bool) -> None:
-    """Reject the first bad element in display order; only a combination
-    that has one is sorted."""
-    if variant == "trialgebra" and all(type(e) is PTree for e in v.terms):
+def _check_basis(variant: str, v: Union[PlanarTree, LinComb],
+                 allow_leaf: bool) -> None:
+    """Reject a bad bare element, or the first bad element of a
+    combination in display order; only a combination that has one is
+    sorted."""
+    elems = v.terms if isinstance(v, LinComb) else (v,)
+    if variant == "trialgebra" and all(map(PTree.__instancecheck__, elems)):
         return
-    bad = [e for e in v.terms if _basis_error(variant, e, allow_leaf)]
+    bad = [e for e in elems if _basis_error(variant, e, allow_leaf)]
     if bad:
         first = min(bad, key=lambda e: e.sort_key())
         raise DomainError(_basis_error(variant, first, allow_leaf))
@@ -85,15 +90,25 @@ def _basis_error(variant: str, elem, allow_leaf: bool) -> str:
 
 @lru_cache(maxsize=None)
 def _star(variant: str, x: PlanarTree, y: PlanarTree) -> LinComb:
+    """The star product of two planar trees (or leaves).
+
+    Its left, right and dot seams are stored, not merged: their supports
+    are pairwise disjoint, and no seam repeats a tree.  The root of a
+    left term has as many children as x, that of a right term as many as
+    y, and that of a dot term one fewer than both together; a left and a
+    right term with the same count still differ in their last child: a
+    left term's has at least as many leaves as y, a right term's is the
+    last child of y.  Each dot coefficient takes its weight factor here.
+    """
     if x.is_leaf:
         return LinComb.of(y)
     if y.is_leaf:
         return LinComb.of(x)
-    out: dict = {}
-    addmul(out, _seam(variant, "left", x, y), ONE)
-    addmul(out, _seam(variant, "right", x, y), ONE)
+    out = dict(_seam(variant, "left", x, y))
+    out.update(_seam(variant, "right", x, y))
     if variant == "trialgebra":
-        addmul(out, _seam(variant, "dot", x, y), LAMBDA)
+        for t, c in _seam(variant, "dot", x, y):
+            out[t] = c * LAMBDA
     return _wrap(out)
 
 
@@ -118,7 +133,7 @@ def _seam(variant: str, op: str, x: PlanarTree, y: PlanarTree) -> Iterable:
     else:
         b, tail = y.children[0], y.children[1:]
     middle = _star(variant, a, b).terms
-    return ((intern_planar(head + (t,) + tail), c) for t, c in middle.items())
+    return [(intern_planar(head + (t,) + tail), c) for t, c in middle.items()]
 
 
 def dend_op(
@@ -132,7 +147,9 @@ def dend_op(
     ``variant`` is ``trialgebra`` (weight symbolic) or ``dialgebra``
     (binary trees, no middle product).  ``op`` is ``left`` (<),
     ``right`` (>), ``dot`` (middle), or ``star`` (their associative
-    sum); only ``star`` admits the bare leaf, as its unit.
+    sum); only ``star`` admits the bare leaf, as its unit.  Each of
+    ``x`` and ``y`` is a combination or a bare tree, which is taken as
+    its one term with coefficient one.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown dendriform variant {variant!r}")
@@ -140,10 +157,9 @@ def dend_op(
         raise DomainError(f"unknown dendriform operation {op!r}")
     if variant == "dialgebra" and op == "dot":
         raise DomainError("the dialgebra has no middle product")
-    xc, yc = _as_comb(x), _as_comb(y)
-    _check_basis(variant, xc, allow_leaf=op == "star")
-    _check_basis(variant, yc, allow_leaf=op == "star")
-    return bilinear(lambda a, b: _seam(variant, op, a, b), xc, yc)
+    _check_basis(variant, x, allow_leaf=op == "star")
+    _check_basis(variant, y, allow_leaf=op == "star")
+    return bilinear(partial(_seam, variant, op), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +177,21 @@ def rb_dendriform(
     their weighted sum (which equals the associative star product)."""
     if op not in _OPS:
         raise DomainError(f"unknown dendriform operation {op!r}")
-    ac, bc = _as_comb(a), _as_comb(b)
-    for v in (ac, bc):
-        if any(e.is_leaf for e in v.terms):
+    for v in (a, b):
+        if any(e.is_leaf for e in (v.terms if isinstance(v, LinComb) else (v,))):
             raise DomainError("the unit tree is not in the non-unital algebra")
     if op == "left":
-        return circle_lc(family, ac, beta_lc(family, bc))
+        return circle_lc(family, a, _beta_either(family, b))
     if op == "right":
-        return circle_lc(family, beta_lc(family, ac), bc)
+        return circle_lc(family, _beta_either(family, a), b)
     if op == "dot":
-        return circle_lc(family, ac, bc)
-    return star_lc(family, ac, bc)
+        return circle_lc(family, a, b)
+    return star_lc(family, a, b)
+
+
+def _beta_either(family: Family, v: Union[Tree, LinComb]) -> LinComb:
+    """The operator on a combination or on a bare basis tree."""
+    return beta_lc(family, v) if isinstance(v, LinComb) else beta(family, v)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,25 @@ key: equal results are mostly one shared value, and comparing two
 combinations mostly stops at the identity check.  The tables are
 unbounded ``lru_cache`` functions, so ``cache_info()`` shows their size
 and ``cache_clear()`` empties them.
+
+A polynomial is stored densely, one coefficient per power of ``l`` up
+to its degree, so the two ways input text names a power directly (a
+weight monomial from `LambdaPoly.weight`, an ``l^K`` in `parse_poly`)
+stop at `MAX_DEGREE` with a `DomainError`, before anything is built.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import DomainError
 from .scan import Cursor, int_text
 
 __all__ = ["LambdaPoly", "ZERO", "ONE", "LAMBDA", "parse_poly"]
+
+# The highest power of l that input may name.  A dense polynomial of this
+# degree holds ten million coefficients, about 80 MB of tuple.
+MAX_DEGREE = 10_000_000
 
 
 class LambdaPoly:
@@ -54,9 +64,10 @@ class LambdaPoly:
 
     @classmethod
     def weight(cls, power: int = 1, coeff: int = 1) -> "LambdaPoly":
-        """coeff * l^power."""
+        """coeff * l^power; a power above `MAX_DEGREE` is a domain error."""
         if power < 0:
             raise ValueError(f"power must be >= 0, got {power}")
+        _check_degree(power)
         return cls((0,) * power + (coeff,))
 
     @staticmethod
@@ -181,6 +192,11 @@ ONE = LambdaPoly((1,))
 LAMBDA = LambdaPoly((0, 1))
 
 
+def _check_degree(power: int) -> None:
+    if power > MAX_DEGREE:
+        raise DomainError(f"powers of l above l^{MAX_DEGREE} are not supported")
+
+
 @lru_cache(maxsize=None)
 def _sum(a: tuple, b: tuple) -> LambdaPoly:
     """The polynomial with coefficients ``a`` plus the one with ``b``."""
@@ -213,6 +229,7 @@ def parse_poly(text: str) -> LambdaPoly:
     term := int | int '*' 'l' ('^' nat)? | 'l' ('^' nat)?
 
     Whitespace is insignificant.  Round-trips everything `__str__` emits.
+    A power above `MAX_DEGREE` is a domain error.
     """
     cur = Cursor(text)
     ch = cur.ws()
@@ -243,6 +260,7 @@ def parse_poly(text: str) -> LambdaPoly:
                 cur.pos += 1
                 cur.ws()
                 power = cur.nat()
+                _check_degree(power)
             if mag is None:
                 mag = 1
         else:

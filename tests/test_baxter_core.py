@@ -415,6 +415,20 @@ def test_bilinear_products_match_the_reference_sum():
         assert got == reference_bilinear(op, u, v)
 
 
+def test_products_take_a_bare_tree_on_either_side():
+    for family in FAMILIES:
+        pool = small_trees(family, 2)
+        for op_lc in (circle_lc, star_lc):
+            for x, y in itertools.product(pool, repeat=2):
+                wrapped = op_lc(family, LinComb.of(x), LinComb.of(y))
+                assert op_lc(family, x, y) == wrapped
+                assert op_lc(family, LinComb.of(x), y) == wrapped
+                assert op_lc(family, x, LinComb.of(y)) == wrapped
+    g = generator(FAMILIES[0])
+    assert circle_power(FAMILIES[0], g, 3) == circle_lc(
+        FAMILIES[0], circle(FAMILIES[0], g, g), g)
+
+
 def test_memoized_results_are_never_mutated():
     # lru_cache hands one result object to every caller, so the kernel
     # may read a memoized combination but never write into it.

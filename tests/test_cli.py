@@ -1,6 +1,13 @@
 """Command-line interface: output text, record format, and exit codes."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 from baxtertrees.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
+from baxtertrees.scalars import MAX_DEGREE
 
 import pytest
 
@@ -368,6 +375,38 @@ def test_numbers_of_4300_digits_still_print(capsys):
     code, out, _ = run(capsys, "product", "--family", "inf,inf", "--lambda", "0",
                        f"1(. {NINES} .)", "1(. 1 .)")
     assert (code, out) == (EXIT_OK, f"1(1(. {NINES} .) 1 .) + 1(. {NINES} 1(. 1 .))\n")
+
+
+BIG = "9" * 20  # a power of l far past MAX_DEGREE
+
+
+@pytest.mark.parametrize("argv", [
+    # The label excess becomes the weight power (-l)^excess.
+    ["morphism", "--family", "inf,inf", "--target", "inf,2", f"{BIG}(. 1 .)"],
+    # A coefficient names the power directly.
+    ["product", "--family", "inf,inf", f"l^{BIG}*1(. 1 .)", "1(. 1 .)"],
+    ["star", "--family", "inf,2", f"(1 - l^{BIG})*1(. 1 .)", "1(. 1 .)"],
+])
+def test_weight_powers_past_the_degree_limit_are_domain_errors(argv):
+    # In a child process with capped memory and a timeout, so that a dense
+    # power of this degree fails fast instead of filling the machine.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cap = 1 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "baxtertrees", *argv], env=env,
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (done.returncode, done.stdout) == (EXIT_DOMAIN, "")
+    assert done.stderr == (f"domain error: powers of l above l^{MAX_DEGREE} "
+                           "are not supported\n")
+
+
+def test_weight_powers_up_to_the_degree_limit_still_answer(capsys):
+    code, out, _ = run(capsys, "morphism", "--family", "inf,inf", "--target", "inf,2",
+                       "4000000(. 1 .)")
+    assert (code, out) == (EXIT_OK, "-l^3999999*1(. 1 .)\n")
 
 
 # -- parser reuse -------------------------------------------------------------

@@ -6,6 +6,8 @@ import random
 from baxtertrees.baxter_core import LinComb, lower_root
 from baxtertrees.counting import catalan, dim_formula
 from baxtertrees.dendriform import (
+    _seam,
+    _star,
     dend_op,
     dt_dim,
     embed_dialgebra,
@@ -101,6 +103,79 @@ def test_decorated_tree_is_not_a_planar_basis_element():
                 with pytest.raises(DomainError,
                                    match="^expected a planar tree basis element$"):
                     dend_op(variant, op, x, y)
+
+
+def bad_argument_pairs():
+    """Pairs of dend_op arguments with one bad element or more, by
+    variant and operation; the first argument is checked first."""
+    a, d, wide = p("(. .)"), t("1(. 1 .)"), p("(. . .)")
+    for variant in ("trialgebra", "dialgebra"):
+        yield variant, "left", LEAF, a
+        yield variant, "right", a, LEAF
+        yield variant, "left", d, LEAF
+        yield variant, "star", LEAF, d
+    yield "dialgebra", "left", wide, LEAF
+    yield "dialgebra", "star", a, wide
+    yield "dialgebra", "right", LEAF, wide
+    yield "dialgebra", "star", d, wide
+
+
+def error_text(f, *args):
+    with pytest.raises(DomainError) as info:
+        f(*args)
+    return str(info.value)
+
+
+def expected_error(variant, op, e):
+    """The error dend_op reports for the element e, or None."""
+    if e.is_leaf:
+        return None if op == "star" else "the bare leaf is only a unit for star"
+    if not isinstance(e, PTree):
+        return "expected a planar tree basis element"
+    if variant == "dialgebra" and len(e.children) != 2:
+        return "dialgebra basis elements must be binary trees"
+    return None
+
+
+def test_bare_trees_act_as_one_term_combinations():
+    for variant, pool, ops in variant_cases():
+        pool = pool[:12] + [LEAF]
+        for op in ops:
+            for x, y in itertools.product(pool, repeat=2):
+                if op != "star" and (x.is_leaf or y.is_leaf):
+                    continue
+                wrapped = dend_op(variant, op, LinComb.of(x), LinComb.of(y))
+                assert dend_op(variant, op, x, y) == wrapped
+                assert dend_op(variant, op, LinComb.of(x), y) == wrapped
+                assert dend_op(variant, op, x, LinComb.of(y)) == wrapped
+
+
+def test_bad_bare_trees_give_the_errors_of_their_one_term_combinations():
+    for variant, op, x, y in bad_argument_pairs():
+        texts = {error_text(dend_op, variant, op, u, v)
+                 for u in (x, LinComb.of(x)) for v in (y, LinComb.of(y))}
+        expected = expected_error(variant, op, x) or expected_error(variant, op, y)
+        assert texts == {expected}, (variant, op, x, y)
+
+
+# -- the stored seams of star ------------------------------------------------
+
+def test_star_seams_are_disjoint_and_repeat_no_tree():
+    # _star stores its left, right and dot seams without merging them,
+    # which is exact only because no tree occurs twice among them.
+    cases = (("trialgebra", planar_pool(5), ("left", "right", "dot")),
+             ("dialgebra", [bt for n in range(1, 6) for bt in binary_trees(n)],
+              ("left", "right")))
+    for variant, pool, ops in cases:
+        assert len(pool) == {"trialgebra": 60, "dialgebra": 64}[variant]
+        for x, y in itertools.product(pool, repeat=2):
+            seams = [_seam(variant, op, x, y) for op in ops]
+            trees = [tree for seam in seams for tree, _ in seam]
+            assert len(set(trees)) == len(trees), (variant, str(x), str(y))
+            merged = LinComb(seams[0]) + LinComb(seams[1])
+            if variant == "trialgebra":
+                merged = merged + LinComb(seams[2]).scale(LAMBDA)
+            assert _star(variant, x, y) == merged
 
 
 # -- the operations against the recursion written out -----------------------
@@ -261,6 +336,23 @@ def test_rb_operations_satisfy_trialgebra_axioms():
 def test_rb_rejects_unit_tree():
     with pytest.raises(DomainError):
         rb_dendriform(FI2, "left", LEAF, t("1(. 1 .)"))
+
+
+def test_rb_bare_trees_act_as_one_term_combinations():
+    for family in (F22, FI2):
+        pool = [tree for n in (1, 2) for m in (1, 2)
+                for tree in enumerate_trees(family, n, m)]
+        for op in ("left", "right", "dot", "star"):
+            for x, y in itertools.product(pool, repeat=2):
+                wrapped = rb_dendriform(family, op, LinComb.of(x), LinComb.of(y))
+                assert rb_dendriform(family, op, x, y) == wrapped
+                assert rb_dendriform(family, op, LinComb.of(x), y) == wrapped
+                assert rb_dendriform(family, op, x, LinComb.of(y)) == wrapped
+    a = t("1(. 1 .)")
+    for x, y in ((LEAF, a), (a, LEAF), (LEAF, LEAF)):
+        texts = {error_text(rb_dendriform, FI2, "left", u, v)
+                 for u in (x, LinComb.of(x)) for v in (y, LinComb.of(y))}
+        assert texts == {"the unit tree is not in the non-unital algebra"}
 
 
 # -- embeddings -------------------------------------------------------------

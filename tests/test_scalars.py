@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baxtertrees import scalars
-from baxtertrees.errors import ParseError
-from baxtertrees.scalars import LAMBDA, ONE, ZERO, LambdaPoly, parse_poly
+from baxtertrees.errors import DomainError, ParseError
+from baxtertrees.scalars import LAMBDA, MAX_DEGREE, ONE, ZERO, LambdaPoly, parse_poly
 
 import pytest
 
@@ -34,6 +34,17 @@ def test_weight_constructor():
     assert LambdaPoly.weight() == LAMBDA
     with pytest.raises(ValueError):
         LambdaPoly.weight(-1)
+
+
+def test_powers_past_the_degree_limit_are_domain_errors():
+    over = MAX_DEGREE + 1
+    for make in (lambda: LambdaPoly.weight(over),
+                 lambda: LambdaPoly.weight(10 ** 20, -1),
+                 lambda: parse_poly(f"l^{over}"),
+                 lambda: parse_poly(f"1 + 3*l^{10 ** 20} - l")):
+        with pytest.raises(DomainError, match=r"^powers of l above l\^10000000 "):
+            make()
+    assert parse_poly("l^12").coeffs == (0,) * 12 + (1,)
 
 
 def test_int_mixing():
