@@ -432,9 +432,12 @@ def beta(family: Family, t: Tree) -> LinComb:
     return LinComb.of(*_beta_term(family, t))
 
 
-def beta_lc(family: Family, u: LinComb) -> LinComb:
+def beta_lc(family: Family, u: LinComb | Tree) -> LinComb:
+    """The operator, extended linearly; ``u`` may be a combination or a
+    bare basis tree."""
     out: dict = {}
-    for t, c in u.terms.items():
+    terms = u.terms.items() if isinstance(u, LinComb) else ((u, ONE),)
+    for t, c in terms:
         x, k = _beta_term(family, t)
         addmul(out, ((x, c),), k)
     return _wrap(out)

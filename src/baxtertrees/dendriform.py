@@ -43,7 +43,7 @@ from math import comb
 from typing import Iterable, Union
 
 from .baxter_core import (
-    LinComb, _wrap, beta, beta_lc, bilinear, circle_lc, star_lc,
+    LinComb, _wrap, beta_lc, bilinear, circle_lc, star_lc,
 )
 from .errors import DomainError
 from .paths import _restore
@@ -181,17 +181,12 @@ def rb_dendriform(
         if any(e.is_leaf for e in (v.terms if isinstance(v, LinComb) else (v,))):
             raise DomainError("the unit tree is not in the non-unital algebra")
     if op == "left":
-        return circle_lc(family, a, _beta_either(family, b))
+        return circle_lc(family, a, beta_lc(family, b))
     if op == "right":
-        return circle_lc(family, _beta_either(family, a), b)
+        return circle_lc(family, beta_lc(family, a), b)
     if op == "dot":
         return circle_lc(family, a, b)
     return star_lc(family, a, b)
-
-
-def _beta_either(family: Family, v: Union[Tree, LinComb]) -> LinComb:
-    """The operator on a combination or on a bare basis tree."""
-    return beta_lc(family, v) if isinstance(v, LinComb) else beta(family, v)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError
+from .scan import Cursor
 from .trees import (
     F22, FI2, LEAF, Node, PTree, PlanarTree, Tree,
     bidegree, raised, require_valid, with_root_label,
@@ -74,25 +75,23 @@ def parse_path(text: str) -> Path:
     """Parse step text: compact (``HDHVV``) or space-separated
     (``Ub Hr D``); colored steps are a letter plus ``r``/``b``.  An
     unknown step is reported at its own offset in the stripped text."""
-    text = text.strip()
+    cur = Cursor(text.strip())
+    spaced = any(ch.isspace() for ch in cur.text)
     tokens: list[str] = []
-    j = 0
-    if any(ch.isspace() for ch in text):
-        for tok in text.split():
-            j = text.index(tok, j)
-            if tok not in _STEP_TOKENS:
-                raise ParseError(f"unknown step {tok!r}", text, j)
-            tokens.append(tok)
-            j += len(tok)
-        return tuple(tokens)
-    while j < len(text):
-        if text[j] not in "HVDU":
-            raise ParseError("unknown step letter", text, j)
-        tok = text[j:j + 2] if text[j + 1:j + 2] in ("r", "b") else text[j]
+    while ch := cur.ws():
+        start = cur.pos
+        if spaced:
+            cur.span(lambda c: not c.isspace())
+        elif ch not in "HVDU":
+            raise cur.error("unknown step letter")
+        else:
+            cur.pos += 1
+            if cur.peek() in ("r", "b"):
+                cur.pos += 1
+        tok = cur.text[start:cur.pos]
         if tok not in _STEP_TOKENS:
-            raise ParseError(f"unknown step {tok!r}", text, j)
+            raise cur.error(f"unknown step {tok!r}", start)
         tokens.append(tok)
-        j += len(tok)
     return tuple(tokens)
 
 

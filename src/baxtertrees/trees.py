@@ -417,80 +417,93 @@ def _read_tree(cur: Cursor) -> Tree:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Enumeration and counting
 # ---------------------------------------------------------------------------
 #
-# A positive-root tree of bidegree (n, m) is a root-0 tree of bidegree
-# (n, m - b) with its root relabeled to b >= 1, so both kinds reduce to
-# enumerating root-0 trees: a first child (leaf or positive-root tree)
-# followed by a nonempty alternating tail of angles and children, where
-# only the final child may be a leaf.
+# The decorated grammar, part by part and by bidegree, each part built
+# from at most two others:
+#
+#   root-0 tree    = a pair whose tail is nonempty
+#   pair           = a child, then a tail
+#   tail           = the empty tail at (0, 0), or an angle, then a pair
+#   child          = the leaf at (0, 0), a positive-root tree elsewhere
+#   positive-root  = a root label b over a root-0 tree of (n, m - b)
+#
+# and the leaf only starts a tree or ends a tail.  `_splits`,
+# `_angle_choices` and `_root_labels` are the rules for how each part
+# may begin; they are the only code that ranges over child bidegrees,
+# angles and root labels.  The listing (`enumerate_zero_root`, `_pairs`,
+# `_tails`, `_children`) and the counting (`_count_pairs`,
+# `_count_tails`, `_count_children`) both read them, the one building
+# trees where the other multiplies counts.  With two parts to a split, a
+# pair of bidegree (n, m) has O(n m) splits.
 
-def _angle_choices(family: Family, budget: int) -> range:
-    if family.i == 2:
-        return range(1, 2) if budget >= 1 else range(0)
-    return range(1, budget + 1)
+def _angle_choices(family: Family, n: int) -> range:
+    """The angle labels that fit in angle degree n."""
+    return range(1, (min(n, 1) if family.i == 2 else n) + 1)
+
+
+def _root_labels(family: Family, m: int) -> range:
+    """The root labels of a positive-root tree of node degree m."""
+    return range(1, (min(m, 1) if family.j == 2 else m) + 1)
+
+
+def _splits(n: int, m: int, first: bool) -> list:
+    """How a pair of bidegree (n, m) may split into its child and its
+    tail, as tuples (child n, child m, tail n, tail m); ``first`` when
+    the child is a tree's first, whose tail is then nonempty.  A nonempty
+    tail has positive angle degree, and a positive-root child two
+    positive degrees.  The leaf child, at (0, 0), only starts a tree or
+    ends a tail."""
+    out = [(0, 0, n, m)] if (n >= 1 if first else n == m == 0) else []
+    out += [(cn, cm, n - cn, m - cm)
+            for cn in range(1, n + 1) for cm in range(1, m + 1)
+            if cn < n or cm == m and not first]
+    return out
+
+
+def _pairs(family: Family, n: int, m: int, first: bool) -> list:
+    """The pairs of bidegree (n, m), as (children, angles) tuples."""
+    return [((c,) + children, angles)
+            for cn, cm, rn, rm in _splits(n, m, first)
+            for c in _children(family, cn, cm)
+            for children, angles in _tails(family, rn, rm)]
 
 
 @lru_cache(maxsize=None)
 def _tails(family: Family, n: int, m: int) -> tuple:
-    """Alternating sequences (a1, c2, a2, ..., ak, c_{k+1}) consuming
-    angle degree n and node degree m; interior children are positive-root
-    trees, the final child may also be a leaf.  Returned as pairs
-    (children tuple, angles tuple)."""
-    out = []
-    for a in _angle_choices(family, n):
-        # final pair: angle a then the last child
-        if m == 0 and n == a:
-            out.append(((LEAF,), (a,)))
-        for t in enumerate_positive_root(family, n - a, m):
-            out.append(((t,), (a,)))
-        # interior pair: angle a, a positive-root child, then more tail
-        for cn in range(1, n - a):
-            for cm in range(0, m + 1):
-                children = enumerate_positive_root(family, cn, cm)
-                if not children:
-                    continue
-                for rest_children, rest_angles in _tails(family, n - a - cn, m - cm):
-                    for c in children:
-                        out.append(((c,) + rest_children, (a,) + rest_angles))
-    return tuple(out)
+    """The tails of bidegree (n, m), as (children, angles) tuples."""
+    if n == m == 0:
+        return (((), ()),)
+    return tuple((children, (a,) + angles)
+                 for a in _angle_choices(family, n)
+                 for children, angles in _pairs(family, n - a, m, False))
 
 
 @lru_cache(maxsize=None)
 def enumerate_zero_root(family: Family, n: int, m: int) -> tuple:
     """All root-label-0 trees of bidegree (n, m), canonically ordered."""
-    if n < 1 or m < 0:
-        return ()
-    out = []
-    # first child is a leaf
-    for children, angles in _tails(family, n, m):
-        out.append(Node(0, (LEAF,) + children, angles))
-    # first child is a positive-root tree
-    for cn in range(1, n):
-        for cm in range(0, m + 1):
-            firsts = enumerate_positive_root(family, cn, cm)
-            if not firsts:
-                continue
-            for rest_children, rest_angles in _tails(family, n - cn, m - cm):
-                for c in firsts:
-                    out.append(Node(0, (c,) + rest_children, rest_angles))
+    out = [intern_node(0, children, angles)
+           for children, angles in _pairs(family, n, m, True)]
     out.sort(key=tree_sort_key)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def enumerate_positive_root(family: Family, n: int, m: int) -> tuple:
-    """All positive-root trees of bidegree (n, m), canonically ordered."""
-    if n < 1 or m < 1:
-        return ()
-    labels = (1,) if family.j == 2 else range(1, m + 1)
-    out = []
-    for b in labels:
-        for t in enumerate_zero_root(family, n, m - b):
-            out.append(with_root_label(t, b))
+def _children(family: Family, n: int, m: int) -> tuple:
+    """The children of bidegree (n, m), canonically ordered: the leaf at
+    (0, 0), the positive-root trees elsewhere."""
+    if n == m == 0:
+        return (LEAF,)
+    out = [with_root_label(t, b) for b in _root_labels(family, m)
+           for t in enumerate_zero_root(family, n, m - b)]
     out.sort(key=tree_sort_key)
     return tuple(out)
+
+
+def enumerate_positive_root(family: Family, n: int, m: int) -> tuple:
+    """All positive-root trees of bidegree (n, m), canonically ordered."""
+    return () if n == m == 0 else _children(family, n, m)
 
 
 def enumerate_trees(family: Family, n: int, m: int) -> tuple:
@@ -501,50 +514,34 @@ def enumerate_trees(family: Family, n: int, m: int) -> tuple:
     return tuple(out)
 
 
-# Counting twin of the enumerator: the same recursion, materializing
-# nothing.  Used for large marginals; cross-checked against the
-# enumerator in the tests.
+@lru_cache(maxsize=None)
+def _count_pairs(family: Family, n: int, m: int, first: bool) -> int:
+    return sum(_count_children(family, cn, cm) * _count_tails(family, rn, rm)
+               for cn, cm, rn, rm in _splits(n, m, first))
+
 
 @lru_cache(maxsize=None)
 def _count_tails(family: Family, n: int, m: int) -> int:
-    total = 0
-    for a in _angle_choices(family, n):
-        if m == 0 and n == a:
-            total += 1
-        total += _count_positive(family, n - a, m)
-        for cn in range(1, n - a):
-            for cm in range(0, m + 1):
-                c = _count_positive(family, cn, cm)
-                if c:
-                    total += c * _count_tails(family, n - a - cn, m - cm)
-    return total
+    if n == m == 0:
+        return 1
+    return sum(_count_pairs(family, n - a, m, False)
+               for a in _angle_choices(family, n))
 
 
 @lru_cache(maxsize=None)
-def _count_zero(family: Family, n: int, m: int) -> int:
-    if n < 1 or m < 0:
-        return 0
-    total = _count_tails(family, n, m)
-    for cn in range(1, n):
-        for cm in range(0, m + 1):
-            c = _count_positive(family, cn, cm)
-            if c:
-                total += c * _count_tails(family, n - cn, m - cm)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _count_positive(family: Family, n: int, m: int) -> int:
-    if n < 1 or m < 1:
-        return 0
-    if family.j == 2:
-        return _count_zero(family, n, m - 1)
-    return sum(_count_zero(family, n, m - b) for b in range(1, m + 1))
+def _count_children(family: Family, n: int, m: int) -> int:
+    if n == m == 0:
+        return 1
+    return sum(_count_pairs(family, n, m - b, True)
+               for b in _root_labels(family, m))
 
 
 def count_trees(family: Family, n: int, m: int) -> int:
-    """|basis component of bidegree (n, m)|, by structural recursion."""
-    return _count_zero(family, n, m) + _count_positive(family, n, m)
+    """|basis component of bidegree (n, m)|: the listing's grammar read
+    as counts, materializing nothing.  Used for large marginals."""
+    if n == m == 0:
+        return 0  # the bare leaf is no basis tree
+    return _count_pairs(family, n, m, True) + _count_children(family, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -652,30 +649,27 @@ def _read_planar(cur: Cursor) -> PlanarTree:
 
 
 @lru_cache(maxsize=None)
-def _planar_forests(leaves: int, nodes: int, k: int) -> tuple:
-    """Ordered forests of exactly k planar trees with the given totals."""
-    if k == 0:
-        return ((),) if leaves == 0 and nodes == 0 else ()
-    out = []
-    for ln in range(1, leaves + 1):
-        for nn in range(0, nodes + 1):
-            for t in _planar_by_size(ln, nn):
-                for rest in _planar_forests(leaves - ln, nodes - nn, k - 1):
-                    out.append((t,) + rest)
-    return tuple(out)
+def _planar_forests(leaves: int, nodes: int) -> tuple:
+    """Ordered forests of planar trees with the given totals: a tree
+    followed by a forest, the empty forest being the one at (0, 0)."""
+    if leaves == nodes == 0:
+        return ((),)
+    return tuple((t,) + rest
+                 for ln in range(1, leaves + 1) for nn in range(nodes + 1)
+                 for t in _planar_by_size(ln, nn)
+                 for rest in _planar_forests(leaves - ln, nodes - nn))
 
 
 @lru_cache(maxsize=None)
 def _planar_by_size(leaves: int, nodes: int) -> tuple:
-    """Planar trees with the given leaf and internal-node counts."""
+    """Planar trees with the given leaf and internal-node counts: the
+    leaf, or a node over a first tree and a nonempty forest."""
     if leaves == 1 and nodes == 0:
         return (LEAF,)
-    if nodes < 1 or leaves < 2:
-        return ()
-    out = []
-    for k in range(2, leaves + 1):
-        for forest in _planar_forests(leaves, nodes - 1, k):
-            out.append(PTree(forest))
+    out = [intern_planar((t,) + rest)
+           for ln in range(1, leaves) for nn in range(nodes)
+           for t in _planar_by_size(ln, nn)
+           for rest in _planar_forests(leaves - ln, nodes - 1 - nn)]
     out.sort(key=tree_sort_key)
     return tuple(out)
 

@@ -527,6 +527,7 @@ def test_beta_matches_the_reference_operator():
         pool = [LEAF] + trees_up_to(family, 5)
         for x in pool + [raise_root(x) for x in pool]:
             assert beta(family, x) == reference_beta(family, x), (family, x)
+            assert beta_lc(family, x) == reference_beta(family, x), (family, x)
         u = LinComb([(x, LambdaPoly((k % 3 - 1, 1))) for k, x in enumerate(pool)])
         assert beta_lc(family, u) == u.apply(lambda x: reference_beta(family, x))
 

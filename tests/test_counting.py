@@ -63,8 +63,8 @@ def test_sequence_lookup():
 
 def test_dim_formula_matches_enumeration():
     for family in FAMILIES:
-        for n in range(6):
-            for m in range(6):
+        for n in range(15):
+            for m in range(15):
                 assert dim_formula(family, n, m) == count_trees(family, n, m)
 
 
