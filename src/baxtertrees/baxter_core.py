@@ -208,10 +208,16 @@ def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
     """Add ``coeff`` times the ``(element, coefficient)`` pairs of
     ``terms`` into the coefficient dict ``acc`` in place.
 
-    This is the one place where terms merge: construction, sums,
-    products, basis maps and linear extensions all come here.  A zero
-    result is dropped, whether it cancels against ``acc`` or is zero
-    from the start.  Coefficients are integer polynomials, so a product
+    Construction, sums, products, basis maps and linear extensions all
+    merge terms here.  The one other place is the planar seam of
+    `dendriform._seam`, which grafts each term of a memoized star
+    product back into its tree and merges it in the same pass.  The desk
+    seven-axiom sweep merges about half a million grafted trees that
+    way, and handing them here as a list of pairs per seam made the
+    verify-desk workload's slowest check about a fifth slower; a
+    placement callback would make this kernel branch on its caller.
+    A zero result is dropped, whether it cancels against ``acc`` or is
+    zero from the start.  Coefficients are integer polynomials, so a product
     of two nonzero ones is nonzero: zeros are looked for only on a merge
     and in a term that is new to ``acc``, which is zero only when its
     coefficient or ``coeff`` is.  ``terms`` is only read, since it may
@@ -234,9 +240,11 @@ def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
 
 def bilinear(op: Callable, u, v) -> LinComb:
     """The bilinear extension of a basis product ``op(x, y)``, which
-    returns the ``(element, coefficient)`` pairs of its product; the one
-    loop over the terms of two factors.  Each factor is a `LinComb` or a
-    bare basis element, which is its one term with coefficient one."""
+    returns the ``(element, coefficient)`` pairs of its product, for
+    every product of decorated-tree combinations (`dendriform.dend_op`
+    writes the same loop out, with the merge of `_seam`).  Each factor
+    is a `LinComb` or a bare basis element, which is its one term with
+    coefficient one."""
     out: dict = {}
     u_terms = u.terms.items() if isinstance(u, LinComb) else ((u, ONE),)
     v_terms = v.terms.items() if isinstance(v, LinComb) else ((v, ONE),)

@@ -12,15 +12,16 @@ merging — a deliberately separate code path from the decorated-tree
 graft.
 
 The three recursions differ only in which children meet and which
-stay, so one seam helper (`_seam`) computes all three: it returns the
-terms of one pair's product as a list of ``(tree, coefficient)``
-pairs, with no combination built in between (the seam is injective),
-grafts each tree of the meeting factors' star product back through
-`intern_planar`, and hands star to the memoized `_star`.  `_star`
-stores its three seams side by side, since their supports are
-disjoint, and `dend_op` is the bilinear extension (`bilinear`) of
-`_seam` for every operation, with a bare tree on either side taken as
-one term.
+stay, so one seam helper (`_seam`) computes all three: it reads the
+meeting factors' star product from the memoized `_star` once, grafts
+each of its trees back between the kept children through
+`intern_planar`, and merges the result into a coefficient dict in the
+same pass, with no list of terms or combination built in between.
+`_star` fills its memo value with its left, right and dot seams, whose
+supports are disjoint.  `dend_op` is the bilinear extension written out:
+for each pair of terms it hands the grafting operations to `_seam` and
+merges star's memoized terms through `addmul`, with a bare tree on
+either side taken as one term.
 
 Dropping the middle product at weight 0 gives a dendriform dialgebra;
 its free object lives on binary trees.  It is implemented as its own
@@ -38,16 +39,16 @@ operation-preserving, and both are exercised exhaustively in tests.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
-from typing import Iterable, Union
+from typing import Union
 
 from .baxter_core import (
-    LinComb, _wrap, beta_lc, bilinear, circle_lc, star_lc,
+    LinComb, _wrap, addmul, beta_lc, circle_lc, star_lc,
 )
 from .errors import DomainError
 from .paths import _restore
-from .scalars import LAMBDA, ONE
+from .scalars import LAMBDA, ONE, LambdaPoly
 from .trees import Family, PTree, PlanarTree, Tree, intern_planar, is_binary
 
 __all__ = [
@@ -69,6 +70,8 @@ def _check_basis(variant: str, v: Union[PlanarTree, LinComb],
     """Reject a bad bare element, or the first bad element of a
     combination in display order; only a combination that has one is
     sorted."""
+    if variant == "trialgebra" and type(v) is PTree:  # no tuple, no map
+        return
     elems = v.terms if isinstance(v, LinComb) else (v,)
     if variant == "trialgebra" and all(map(PTree.__instancecheck__, elems)):
         return
@@ -92,38 +95,43 @@ def _basis_error(variant: str, elem, allow_leaf: bool) -> str:
 def _star(variant: str, x: PlanarTree, y: PlanarTree) -> LinComb:
     """The star product of two planar trees (or leaves).
 
-    Its left, right and dot seams are stored, not merged: their supports
-    are pairwise disjoint, and no seam repeats a tree.  The root of a
-    left term has as many children as x, that of a right term as many as
-    y, and that of a dot term one fewer than both together; a left and a
-    right term with the same count still differ in their last child: a
-    left term's has at least as many leaves as y, a right term's is the
-    last child of y.  Each dot coefficient takes its weight factor here.
+    Its left, right and dot seams go into one dict through `_seam`,
+    left, then right, then dot with its weight factor; no term merges
+    there, since their supports are pairwise disjoint and no seam
+    repeats a tree.  The root of a left term has as many children as x,
+    that of a right term as many as y, and that of a dot term one fewer
+    than both together; a left and a right term with the same count
+    still differ in their last child: a left term's has at least as many
+    leaves as y, a right term's is the last child of y.
     """
     if x.is_leaf:
         return LinComb.of(y)
     if y.is_leaf:
         return LinComb.of(x)
-    out = dict(_seam(variant, "left", x, y))
-    out.update(_seam(variant, "right", x, y))
+    out: dict = {}
+    _seam(out, variant, "left", x, y, ONE)
+    _seam(out, variant, "right", x, y, ONE)
     if variant == "trialgebra":
-        for t, c in _seam(variant, "dot", x, y):
-            out[t] = c * LAMBDA
+        _seam(out, variant, "dot", x, y, LAMBDA)
     return _wrap(out)
 
 
-def _seam(variant: str, op: str, x: PlanarTree, y: PlanarTree) -> Iterable:
-    """The terms of ``x op y`` as ``(tree, coefficient)`` pairs, for any
-    of the four operations.
+def _seam(acc: dict, variant: str, op: str, x: PlanarTree, y: PlanarTree,
+          coeff: LambdaPoly) -> None:
+    """Add ``coeff`` times ``x op y`` into the coefficient dict ``acc``,
+    for one of the grafting operations left, right and dot.
 
-    Star is the memoized `_star`.  Left splits x at its last child,
-    right splits y at its first child, dot splits both; the split-off
-    children (or the whole unsplit factor) meet through `_star`, and each
-    tree of that product is grafted back between the children the split
-    kept.  The seam is injective, so no two of its terms collide.
+    Left splits x at its last child, right splits y at its first child,
+    dot splits both; the split-off children (or the whole unsplit
+    factor) meet through the memoized `_star`, read once, and each tree
+    of that product is grafted back between the children the split kept,
+    interned and merged into ``acc`` in the same pass.  The merge is
+    that of `addmul`, written out so that no list of pairs is built per
+    call (`addmul` says why): a zero sum is dropped, and a product with
+    one is not taken.  ``coeff`` is never zero and the grafting is
+    injective, so only a merge with a term already in ``acc`` can give a
+    zero.
     """
-    if op == "star":
-        return _star(variant, x, y).terms.items()
     if op == "right":
         a, head = x, ()
     else:
@@ -132,8 +140,18 @@ def _seam(variant: str, op: str, x: PlanarTree, y: PlanarTree) -> Iterable:
         b, tail = y, ()
     else:
         b, tail = y.children[0], y.children[1:]
-    middle = _star(variant, a, b).terms
-    return [(intern_planar(head + (t,) + tail), c) for t, c in middle.items()]
+    unit = coeff.coeffs == (1,)
+    for t, c in _star(variant, a, b).terms.items():
+        t = intern_planar(head + (t,) + tail)
+        if not unit:  # a product with one would only copy
+            c = coeff if c.coeffs == (1,) else c * coeff
+        old = acc.get(t)
+        if old is None:
+            acc[t] = c
+        elif (c := old + c).coeffs:
+            acc[t] = c
+        else:
+            del acc[t]
 
 
 def dend_op(
@@ -159,7 +177,18 @@ def dend_op(
         raise DomainError("the dialgebra has no middle product")
     _check_basis(variant, x, allow_leaf=op == "star")
     _check_basis(variant, y, allow_leaf=op == "star")
-    return bilinear(partial(_seam, variant, op), x, y)
+    out: dict = {}
+    x_terms = x.terms.items() if isinstance(x, LinComb) else ((x, ONE),)
+    y_terms = y.terms.items() if isinstance(y, LinComb) else ((y, ONE),)
+    for a, ca in x_terms:
+        unit = ca.coeffs == (1,)
+        for b, cb in y_terms:
+            c = cb if unit else ca * cb
+            if op == "star":
+                addmul(out, _star(variant, a, b).terms.items(), c)
+            else:
+                _seam(out, variant, op, a, b, c)
+    return _wrap(out)
 
 
 # ---------------------------------------------------------------------------

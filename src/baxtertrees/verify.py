@@ -16,6 +16,7 @@ exhaustive sweeps; all exhaustive bounds are fixed by the budget.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from math import comb
@@ -1033,7 +1034,11 @@ def run_suite(name: str, budget: str = "desk", seed: int = DEFAULT_SEED) -> Suit
     """Run one named suite and collect its check results.
 
     The cyclic garbage collector is paused while the suite runs and then
-    put back as it was (`_collector_paused`)."""
+    put back as it was (`_collector_paused`).  A suite that raises keeps
+    the checks it recorded and gains one failed check, named after the
+    suite, that carries the exception's type, text and innermost frame:
+    a library fault then fails a check, as any other wrong answer does,
+    and the other suites still run and report."""
     if name not in SUITES:
         raise DomainError(
             f"unknown suite {name!r}; available: {', '.join(SUITES)}"
@@ -1045,7 +1050,18 @@ def run_suite(name: str, budget: str = "desk", seed: int = DEFAULT_SEED) -> Suit
     rec = _Recorder()
     rng = random.Random(seed)
     start = time.perf_counter()
-    _collector_paused(SUITES[name])(_BOUNDS[budget], rec, rng)
+    try:
+        _collector_paused(SUITES[name])(_BOUNDS[budget], rec, rng)
+    except Exception as exc:
+        # The innermost frame is walked to by hand: importing `traceback`
+        # (and with it `tokenize`) added about 0.4 MB to every run's peak.
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        rec.check(f"{name} suite runs to the end", False,
+                  f"{type(exc).__name__}: {exc} (in {code.co_name}, "
+                  f"{os.path.basename(code.co_filename)}:{tb.tb_lineno})")
     elapsed = time.perf_counter() - start
     return SuiteResult(name, rec.checks, elapsed)
 

@@ -354,9 +354,10 @@ def kernel_cases():
         yield (lambda x, y, f=family: star(f, x, y),
                lambda u, v, f=family: star_lc(f, u, v), pool)
     planar = small_planar(3)
-    for variant, pool in (("trialgebra", planar),
-                          ("dialgebra", [pt for pt in planar if is_binary(pt)])):
-        for op in ("left", "right", "star"):
+    for variant, pool, ops in (
+            ("trialgebra", planar, ("left", "right", "dot", "star")),
+            ("dialgebra", [pt for pt in planar if is_binary(pt)], ("left", "right", "star"))):
+        for op in ops:
             def fn(a, b, v=variant, o=op):
                 return dendriform.dend_op(v, o, a, b)
             yield fn, fn, pool

@@ -344,6 +344,29 @@ def test_domain_error_is_exit_4(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["dims", "--family", "inf,inf", "--max-n", "0"],
+     "domain error: the table needs max-n >= 1 and max-m >= 0"),
+    (["series", "--family", "inf,inf", "--max-n", "13"],
+     "domain error: orders must be between 1 and 12"),
+    (["dendriform", "--op", "left", "--variant", "trialgebra", "--family", "inf,2",
+      "(. .)", "(. .)"],
+     "domain error: pass exactly one of --variant or --family"),
+    (["pi", "--family", "inf,inf", "1(. 1 .)"],
+     "domain error: word images exist for the collapsed-operator families only"),
+])
+def test_pinned_domain_error_lines(capsys, argv, line):
+    assert run(capsys, *argv) == (EXIT_DOMAIN, "", line + "\n")
+
+
+def test_weight_that_is_not_a_number_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "product", "--lambda", "foo", "--family", "inf,inf",
+                         "1(. 1 .)", "1(. 1 .)")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("baxtertrees product: error: argument --lambda: "
+                                    "expected 'sym' or an integer, got 'foo'")
+
+
 NINES = "9" * 4300  # the most digits int() and str() convert
 
 

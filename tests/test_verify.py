@@ -2,6 +2,8 @@
 
 import gc
 
+from baxtertrees import verify
+from baxtertrees.cli import main
 from baxtertrees.dendriform import dend_op
 from baxtertrees.errors import DomainError
 from baxtertrees.trees import binary_trees
@@ -68,13 +70,34 @@ def test_run_suite_pauses_the_collector_and_puts_it_back(monkeypatch, enabled):
         run_suite("examples", budget="quick")
         after_run = gc.isenabled()
         monkeypatch.setitem(SUITES, "examples", failing)
-        with pytest.raises(RuntimeError, match="suite failed"):
-            run_suite("examples", budget="quick")
+        raised = run_suite("examples", budget="quick")
         after_raise = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False, False]
     assert after_run is enabled and after_raise is enabled
+    assert [c.detail.split(" (in ")[0] for c in raised.checks] == [
+        "RuntimeError: suite failed"]
+
+
+def test_a_suite_that_raises_fails_one_check_and_the_run_goes_on(monkeypatch, capsys):
+    # A library fault inside a suite is a failed check (exit 1), not bad
+    # input (exit 4), and it hides no other suite's results.
+    def stub(bounds, rec, rng):
+        rec.check("a check before the fault", True)
+        raise DomainError("dialgebra basis elements must be binary trees")
+
+    monkeypatch.setattr(verify, "SUITES", {"stub": stub, "examples": SUITES["examples"]})
+    code = main(["verify", "--budget", "quick"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("stub: 1 passed, 1 failed (")
+    assert lines[1].startswith(
+        "  FAIL stub suite runs to the end: DomainError: dialgebra basis elements "
+        "must be binary trees (in stub, test_verify.py:")
+    assert lines[2].startswith("examples: ") and " 0 failed " in lines[2]
+    assert lines[-1].startswith("total: ") and lines[-1].endswith(" passed, 1 failed")
 
 
 def test_run_suites_subset_order():
