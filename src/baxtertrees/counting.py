@@ -240,9 +240,6 @@ class BiSeries:
             and (self.N, self.M, self.coeffs) == (other.N, other.M, other.coeffs)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.N, self.M, tuple(sorted(self.coeffs.items()))))
-
     def compose_series(self, univariate: Callable[[int], int],
                        constant: int = 0) -> "BiSeries":
         """Substitute this series (zero constant term required) into a
@@ -284,18 +281,6 @@ class BiSeries:
         return tuple(
             sum(self.coeff(n, k - n) for n in range(k + 1)) for k in range(top + 1)
         )
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (n, m), v in sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0])):
-            mono = "".join(
-                (f"x^{n}" if n > 1 else "x" if n else "",
-                 f"y^{m}" if m > 1 else "y" if m else ""),
-            )
-            parts.append(f"{v}*{mono}" if mono else str(v))
-        return " + ".join(parts)
 
 
 def _catalan_tail(k: int) -> int:

@@ -255,6 +255,7 @@ def dt_dim(n: int, m: int) -> int:
     if n < 1 or m < 1 or m > n:
         return 0
     count, rest = divmod(comb(n + m, m) * comb(n - 1, m - 1), n + 1)
+    # Certificate: a remainder would mean the closed form is wrong.
     if rest:
         raise ArithmeticError(f"planar tree count for ({n}, {m}) is not an integer")
     return count

@@ -307,6 +307,7 @@ def tilde_equiv(t: Tree, s: Tree) -> bool:
         require_valid(FI2, u, "tree not valid")  # rejects the bare leaf
     structural = _tilde_signature(t) == _tilde_signature(s)
     words = pi_word("infinity", t) == pi_word("infinity", s)
+    # Certificate: the words are computed apart from the signature.
     if structural != words:
         raise DomainError(
             "internal error: structural relation and word equality disagree"

@@ -263,7 +263,6 @@ def _diagonal_paths(n: int, m: int) -> tuple:
         return (), (), ()
     found: list[tuple] = []
     _grow_diagonal(found, [], 0, m, m, n - m, False)
-    found.sort()
     plus: list[tuple] = []
     zero: list[tuple] = []
     for p, on_diagonal in found:
@@ -274,10 +273,15 @@ def _diagonal_paths(n: int, m: int) -> tuple:
 def _grow_diagonal(found: list, prefix: list, gap: int,
                    h: int, v: int, d: int, on_diagonal: bool) -> None:
     """Append ``(path, on_diagonal)`` for every completion of ``prefix``
-    with h more H, v more V and d more D steps; ``gap`` is x − y."""
+    with h more H, v more V and d more D steps; ``gap`` is x − y.  Each
+    step tries D, H, V in turn, so the paths come out sorted."""
     if h == 0 and v == 0 and d == 0:
         found.append((tuple(prefix), on_diagonal))
         return
+    if d:
+        prefix.append("D")
+        _grow_diagonal(found, prefix, gap, h, v, d - 1, on_diagonal or not gap)
+        prefix.pop()
     if h:
         prefix.append("H")
         _grow_diagonal(found, prefix, gap + 1, h - 1, v, d, on_diagonal)
@@ -285,10 +289,6 @@ def _grow_diagonal(found: list, prefix: list, gap: int,
     if v and gap:
         prefix.append("V")
         _grow_diagonal(found, prefix, gap - 1, h, v - 1, d, on_diagonal)
-        prefix.pop()
-    if d:
-        prefix.append("D")
-        _grow_diagonal(found, prefix, gap, h, v, d - 1, on_diagonal or not gap)
         prefix.pop()
 
 
@@ -322,13 +322,13 @@ def motzkin_paths(length: int) -> tuple:
     """All mountain paths of the given length, canonically ordered."""
     out: list[tuple] = []
     _grow_mountain(out, [], 0, length)
-    out.sort()
     return tuple(out)
 
 
 def _grow_mountain(out: list, prefix: list, h: int, left: int) -> None:
     """Append every completion of ``prefix``, now at height h, by
-    ``left`` more steps that end on the axis."""
+    ``left`` more steps that end on the axis; trying D, H, U in turn
+    lists them sorted."""
     if left == 0:
         if h == 0:
             out.append(tuple(prefix))
@@ -362,7 +362,8 @@ def _color_expansions(path: Sequence[str], color_up: bool) -> Iterable[tuple]:
 @lru_cache(maxsize=None)
 def colored_motzkin_paths(length: int) -> tuple:
     """Mountain paths of the given length with level AND up steps
-    two-colored, canonically ordered."""
+    two-colored, canonically ordered.  Sorted after expanding, since a
+    colour chosen early outranks a later base letter."""
     out = []
     for p in motzkin_paths(length):
         out.extend(_color_expansions(p, True))
@@ -515,6 +516,7 @@ def to_zero_class(p: Sequence[str]) -> Path:
     if m1 < 1 or p[0] != "H" or p[-1] != "V":
         raise DomainError("plus-class path must start with H and end with V")
     out = tuple(p[1:back]) + ("D",) + tuple(p[back + 1:])
+    # Certificate: a second walk checks that the cut gave a zero-class path.
     nn, mm, out_diag, _ = _checked(out)
     if (nn, mm) != (n, m1 - 1) or out_diag is None:
         raise DomainError("internal error: image not in the zero class")
@@ -530,6 +532,7 @@ def to_plus_class(q: Sequence[str]) -> Path:
     if diag is None:
         raise DomainError("input must be in the zero class")
     out = ("H",) + tuple(q[:diag]) + ("V",) + tuple(q[diag + 1:])
+    # Certificate: a second walk checks that the frame gave a plus-class path.
     nn, mm, out_diag, _ = _checked(out)
     if (nn, mm) != (n, m + 1) or out_diag is not None:
         raise DomainError("internal error: image not in the plus class")
@@ -557,13 +560,12 @@ _PAIR_OF = {image: pair for pair, image in _PAIR_IMAGES.items()}
 
 
 def _core_tokens(core: Sequence[str]) -> list[str]:
-    """Tokenize a restricted core: D always pairs with the following H."""
+    """Tokenize a restricted core: D always pairs with the following H,
+    which the core of a valid 2,2 tree's path always has."""
     tokens = []
     k = 0
     while k < len(core):
         if core[k] == "D":
-            if k + 1 >= len(core) or core[k + 1] != "H":
-                raise DomainError("core has a D not followed by H")
             tokens.append("DH")
             k += 2
         else:
@@ -580,20 +582,16 @@ def _rewrite_pairs(pairs: Sequence[tuple[str, str]]) -> tuple:
         if pair == ("V", "DH"):
             if height < 1:
                 raise DomainError("level-crossing pair at height 0")
-            # rightmost up step rising into the current height
-            idx = None
+            # rightmost up step rising into the current height, which a
+            # path at height >= 1 always has
             h = 0
             for i, s in enumerate(out):
                 if s[0] == "U" and h == height - 1:
                     idx = i
                 h += _step_rise(s)
-            if idx is None:
-                raise DomainError("no up step to the current height")
             out.insert(idx, "Ub")
             out.append("D")
-        else:
-            if pair not in _PAIR_IMAGES:
-                raise DomainError(f"invalid token pair {pair}")
+        else:  # each of the other eight pairs over H, V, DH has an image
             out.extend(_PAIR_IMAGES[pair])
             for s in _PAIR_IMAGES[pair]:
                 height += _step_rise(s)
@@ -608,6 +606,7 @@ def to_colored_motzkin(t: Tree) -> Path:
         raise DomainError("root label must be 1 (raise a root-0 tree first)")
     p = tree_to_path(_strip(t))  # valid in 2,2 with root 1: strippable
     tokens = _core_tokens(p[1:-1])
+    # Certificate: the core of a 2,2 tree's path has an even token count.
     if len(tokens) % 2:
         raise DomainError("internal error: odd token count")
     pairs = [(tokens[k], tokens[k + 1]) for k in range(0, len(tokens), 2)]

@@ -326,8 +326,7 @@ def validate(family: Family, t: Tree, _root: bool = True) -> list[str]:
         if _root:
             problems.append("leaf: the bare leaf is not an algebra basis element")
         return problems
-    if len(t.children) < 2:
-        problems.append("R1: internal node with fewer than two children")
+    # No rule-1 check: `Node._fill` refuses a node with fewer than two children.
     for k, child in enumerate(t.children):
         if child.is_leaf and 0 < k < len(t.children) - 1:
             problems.append(f"R2: interior child {k} is a leaf")
@@ -482,7 +481,8 @@ def _tails(family: Family, n: int, m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def enumerate_zero_root(family: Family, n: int, m: int) -> tuple:
-    """All root-label-0 trees of bidegree (n, m), canonically ordered."""
+    """All root-label-0 trees of bidegree (n, m), sorted: the child count
+    comes next in the key, and the grammar does not list by it."""
     out = [intern_node(0, children, angles)
            for children, angles in _pairs(family, n, m, True)]
     out.sort(key=tree_sort_key)
@@ -492,13 +492,13 @@ def enumerate_zero_root(family: Family, n: int, m: int) -> tuple:
 @lru_cache(maxsize=None)
 def _children(family: Family, n: int, m: int) -> tuple:
     """The children of bidegree (n, m), canonically ordered: the leaf at
-    (0, 0), the positive-root trees elsewhere."""
+    (0, 0), the positive-root trees elsewhere.  The root label comes next
+    in their key, so label b ascending over the sorted root-0 trees of
+    (n, m - b) is key order."""
     if n == m == 0:
         return (LEAF,)
-    out = [with_root_label(t, b) for b in _root_labels(family, m)
-           for t in enumerate_zero_root(family, n, m - b)]
-    out.sort(key=tree_sort_key)
-    return tuple(out)
+    return tuple(with_root_label(t, b) for b in _root_labels(family, m)
+                 for t in enumerate_zero_root(family, n, m - b))
 
 
 def enumerate_positive_root(family: Family, n: int, m: int) -> tuple:
@@ -507,11 +507,10 @@ def enumerate_positive_root(family: Family, n: int, m: int) -> tuple:
 
 
 def enumerate_trees(family: Family, n: int, m: int) -> tuple:
-    """The full basis component of bidegree (n, m), canonically ordered."""
-    out = list(enumerate_zero_root(family, n, m))
-    out.extend(enumerate_positive_root(family, n, m))
-    out.sort(key=tree_sort_key)
-    return tuple(out)
+    """The full basis component of bidegree (n, m), canonically ordered:
+    the root-0 trees, then the positive-root ones, since after the shared
+    degrees the sort key compares root labels."""
+    return enumerate_zero_root(family, n, m) + enumerate_positive_root(family, n, m)
 
 
 @lru_cache(maxsize=None)
@@ -663,7 +662,8 @@ def _planar_forests(leaves: int, nodes: int) -> tuple:
 @lru_cache(maxsize=None)
 def _planar_by_size(leaves: int, nodes: int) -> tuple:
     """Planar trees with the given leaf and internal-node counts: the
-    leaf, or a node over a first tree and a nonempty forest."""
+    leaf, or a node over a first tree and a nonempty forest, sorted, as
+    the child count comes next in the key and the grammar does not fix it."""
     if leaves == 1 and nodes == 0:
         return (LEAF,)
     out = [intern_planar((t,) + rest)

@@ -1,6 +1,7 @@
 """Command-line interface: output text, record format, and exit codes."""
 
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -113,6 +114,12 @@ def test_tree_to_path_pinned(capsys):
     assert out.strip() == "HDHVVHV"
 
 
+def test_tree_to_path_records(capsys):
+    code, out, _ = run(capsys, "tree-to-path", "--format", "records",
+                       "1(. 1 1(. 1 .) 1 1(. 1 .))")
+    assert (code, out) == (EXIT_OK, "path\tHDHVVHV\nn\t4\nm\t3\n")
+
+
 def test_path_round_trip(capsys):
     _, tree_out, _ = run(capsys, "path-to-tree", "HDHVVHV")
     code, path_out, _ = run(capsys, "tree-to-path", tree_out.strip())
@@ -213,6 +220,14 @@ def test_decompose_check(capsys):
         capsys, "decompose-check", "--family", "inf,2", "1(1(. 1 .) 3 .)"
     )
     assert code == EXIT_OK
+
+
+def test_decompose_check_records(capsys):
+    code, out, _ = run(capsys, "decompose-check", "--family", "inf,inf",
+                       "--format", "records", "1(1(. 1 .) 3 .)")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["power\t1", "piece\t1(. 1 .)", "piece\t.",
+                                "angle\t3", "recomposed\tok"]
 
 
 def test_pi_closed_formula(capsys):
@@ -331,6 +346,8 @@ def test_non_decimal_and_overlong_numbers_are_parse_errors(capsys, argv):
      "parse error: unterminated node (missing ')') (at position 14: '')"),
     (["product", "--family", "2,2", "1(. 1 1(. 1 .) 1 .", "1(. 1 1(. 1 .) 1 .)"],
      "parse error: unterminated node (missing ')') (at position 18: '')"),
+    (["product", "--family", "inf,inf", "(2*x)*1(. 1 .)", "1(. 1 .)"],
+     "parse error: expected 'l' after '*' (at position 2: 'x')"),
 ])
 def test_pinned_parse_error_lines(capsys, argv, line):
     code, out, err = run(capsys, *argv)
@@ -354,6 +371,8 @@ def test_domain_error_is_exit_4(capsys):
      "domain error: pass exactly one of --variant or --family"),
     (["pi", "--family", "inf,inf", "1(. 1 .)"],
      "domain error: word images exist for the collapsed-operator families only"),
+    (["to-motzkin", "0(. 1 .)"],
+     "domain error: root label must be 1 (raise a root-0 tree first)"),
 ])
 def test_pinned_domain_error_lines(capsys, argv, line):
     assert run(capsys, *argv) == (EXIT_DOMAIN, "", line + "\n")
@@ -470,3 +489,11 @@ def test_verify_quick_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "examples", "--budget", "quick")
     assert code == EXIT_OK
     assert "examples" in out and "0 failed" in out
+
+
+def test_verify_quick_suite_records(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "examples", "--budget", "quick",
+                       "--format", "records")
+    assert code == EXIT_OK
+    assert re.sub(r"time=\d+\.\d\ds", "time=…s", out) == (
+        "examples\tpass=14 fail=0 time=…s\ntotal\tpass=14 fail=0\n")

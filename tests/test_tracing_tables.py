@@ -9,7 +9,7 @@ from pathlib import Path
 from baxtertrees import baxter_core
 from baxtertrees.baxter_core import LinComb, generator
 from baxtertrees.scalars import LambdaPoly
-from baxtertrees.trees import FAMILIES
+from baxtertrees.trees import FAMILIES, FI2, parse_tree
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -65,3 +65,17 @@ def test_memo_tables_read_by_name_exist():
     for f in products:
         f.cache_clear()
     assert [f.cache_info().currsize for f in products] == [0, 0]
+
+
+def test_a_product_hashes_the_same_when_computed_again():
+    """`Products.hashes` in perfbench/workloads.py calls hash() on every
+    product to skip re-rendering a run that matched the golden, so the
+    ``__hash__`` of `LinComb` and `LambdaPoly` is in use though no library
+    code calls it: a census of unrun lines must not count it dead."""
+    a, b = parse_tree("1(. 2 .)"), parse_tree("1(. 3 .)")
+    first = baxter_core.circle(FI2, a, b)
+    assert "l*" in str(first)  # a weighted term, so a LambdaPoly is hashed too
+    baxter_core.circle.cache_clear()
+    again = baxter_core.circle(FI2, a, b)
+    assert again is not first and again == first
+    assert hash(again) == hash(first)

@@ -139,8 +139,19 @@ def test_bare_leaf_is_not_a_basis_element():
 
 
 def test_single_child_rejected_at_construction():
-    with pytest.raises(DomainError):
-        Node(1, (LEAF,), ())
+    # So no node with one child exists, and `validate` has no rule for it.
+    for label in (0, 1):
+        with pytest.raises(DomainError) as err:
+            Node(label, (LEAF,), ())
+        assert str(err.value) == "a node needs at least 2 children, got 1"
+
+
+def test_label_range_messages_reached_from_the_api_only():
+    # The parser reads labels unsigned, so these trees cannot come from text.
+    assert validate(FII, Node(-1, (LEAF, LEAF), (1,))) == [
+        "label-range: root label -1 is negative"]
+    assert validate(FII, Node(0, (LEAF, LEAF), (0,))) == [
+        "label-range: angle label 0 is not positive"]
 
 
 def test_inner_leaf_rejected():

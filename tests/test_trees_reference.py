@@ -11,7 +11,8 @@ from functools import lru_cache
 
 from baxtertrees.trees import (
     FAMILIES, LEAF, Node, PTree, count_trees, enumerate_positive_root,
-    enumerate_zero_root, planar_trees, tree_sort_key, with_root_label,
+    enumerate_trees, enumerate_zero_root, planar_trees, tree_sort_key,
+    with_root_label,
 )
 
 
@@ -159,6 +160,11 @@ def test_listings_match_the_reference_in_order():
                         (family, n, m)
                     assert enumerate_positive_root(family, n, m) == \
                         _positive(family, n, m), (family, n, m)
+                    # The library lists the two parts one after the other,
+                    # unsorted: the order must still be the key's.
+                    assert enumerate_trees(family, n, m) == tuple(sorted(
+                        _zero(family, n, m) + _positive(family, n, m),
+                        key=tree_sort_key)), (family, n, m)
     finally:
         _clear()
 
