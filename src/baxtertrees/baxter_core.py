@@ -42,11 +42,11 @@ from functools import lru_cache, wraps
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, parse_poly
+from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, read_coefficient
 from .scan import Cursor
 from .trees import (
     LEAF, Family, Node, Tree,
-    bidegree, intern_node, parse_tree, raised, render_tree, with_root_label,
+    bidegree, intern_node, raised, read_tree, render_tree, with_root_label,
 )
 
 __all__ = [
@@ -255,15 +255,13 @@ def bilinear(op: Callable, u, v) -> LinComb:
     return _wrap(out)
 
 
-def parse_lincomb(text: str, parse_elem: Callable[[str], object]) -> LinComb:
-    """Parse ``term (('+'|'-') term)*`` where each term is an optional
-    coefficient (integer, weight monomial, or parenthesized weight
-    polynomial) times a basis element in the syntax of ``parse_elem``.
-
-    ``0`` parses to the zero combination.  Element text is recognized by
-    delimiter scanning, so element grammars may themselves use digits and
-    parentheses (tree root labels vs. coefficients are disambiguated by
-    the ``*`` that must follow a coefficient).
+def parse_lincomb(text: str, read_elem: Callable[[Cursor], object]) -> LinComb:
+    """Read a combination ``term (('+'|'-') term)*`` left to right on one
+    cursor.  A term is an optional sign, a coefficient
+    (`scalars.read_coefficient`) and a basis element, which ``read_elem``
+    (`trees.read_tree`, `trees.read_planar`) reads in place, deciding
+    where it ends.  ``0`` is the zero combination.  A parse error reports
+    its offset in the whole stripped text.
     """
     s = text.strip()
     if s == "0":
@@ -274,55 +272,19 @@ def parse_lincomb(text: str, parse_elem: Callable[[str], object]) -> LinComb:
     terms: list[tuple[object, LambdaPoly]] = []
     while cur.pos < len(s):  # every term after the first starts with its sign
         sign = -1 if cur.peek() == "-" else 1
-        if cur.take("+") or cur.take("-"):
-            if not cur.ws():
-                raise cur.error("dangling sign")
-        coeff = _read_coeff(cur)
-        # the element runs to the next '+' or '-' outside parentheses
-        start, cur.pos = cur.pos, cur.group_end("+-")
-        elem_text = s[start:cur.pos].strip()
-        if not elem_text:
+        if (cur.take("+") or cur.take("-")) and not cur.ws():
+            raise cur.error("dangling sign")
+        coeff = read_coefficient(cur)
+        if cur.ws() in ("", "+", "-"):
             raise cur.error("expected a basis element")
-        terms.append((parse_elem(elem_text), coeff * sign))
+        terms.append((read_elem(cur), coeff * sign))
+        if cur.ws() not in ("", "+", "-"):
+            raise cur.error("trailing input after tree")
     return LinComb(terms)
 
 
-def _read_coeff(cur: Cursor) -> LambdaPoly:
-    """Read a coefficient and the ``*`` after it, or return ONE and leave
-    the cursor where it was.  A coefficient is a parenthesized polynomial,
-    an integer, or ``[int *] l[^nat]`` with no whitespace around ``^``."""
-    s = cur.text
-    start = cur.pos
-    ch = cur.peek()
-    if ch == "(":
-        end = cur.pos = cur.group_end()
-        poly = s[start + 1:end - 1]
-    elif ch == "l" or ch.isdecimal():
-        if ch != "l":
-            cur.digits()
-            end = cur.pos
-            if cur.ws() != "*":
-                cur.pos = start
-                return ONE
-            cur.pos += 1
-            if cur.ws() != "l":
-                return parse_poly(s[start:end])
-        cur.pos += 1  # the 'l'
-        if cur.take("^") and not cur.digits():
-            raise cur.error("expected exponent")
-        poly = s[start:cur.pos]
-    else:
-        return ONE
-    if cur.ws() != "*":
-        cur.pos = start
-        return ONE
-    cur.pos += 1
-    cur.ws()
-    return parse_poly(poly)
-
-
 def tree_lincomb_parser(text: str) -> LinComb:
-    return parse_lincomb(text, parse_tree)
+    return parse_lincomb(text, read_tree)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ inputs and raise `DomainError` outside the stated classes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .scan import Cursor
@@ -321,63 +321,42 @@ def restricted_zero_paths(n: int, m: int) -> tuple:
 def motzkin_paths(length: int) -> tuple:
     """All mountain paths of the given length, canonically ordered."""
     out: list[tuple] = []
-    _grow_mountain(out, [], 0, length)
+    _grow_mountain(out, [], 0, length, (("D", -1), ("H", 0), ("U", 1)))
     return tuple(out)
 
 
-def _grow_mountain(out: list, prefix: list, h: int, left: int) -> None:
+def _grow_mountain(out: list, prefix: list, h: int, left: int, steps: tuple) -> None:
     """Append every completion of ``prefix``, now at height h, by
-    ``left`` more steps that end on the axis; trying D, H, U in turn
-    lists them sorted."""
+    ``left`` more steps that end on the axis.  ``steps`` holds
+    ``(letter, rise)`` pairs; trying the letters in string order lists
+    the completions sorted."""
     if left == 0:
         if h == 0:
             out.append(tuple(prefix))
         return
-    if h + left >= 1:  # pruning: must be able to return to 0
-        for s in ("D", "H", "U"):
-            nh = h + _step_rise(s)
-            if nh < 0 or nh > left - 1:
-                continue
+    for s, rise in steps:
+        nh = h + rise
+        if 0 <= nh < left:  # pruning: must be able to return to 0
             prefix.append(s)
-            _grow_mountain(out, prefix, nh, left - 1)
+            _grow_mountain(out, prefix, nh, left - 1, steps)
             prefix.pop()
-
-
-def _color_expansions(path: Sequence[str], color_up: bool) -> Iterable[tuple]:
-    if not path:
-        yield ()
-        return
-    head, rest = path[0], path[1:]
-    if head == "H":
-        heads = ("Hr", "Hb")
-    elif head == "U" and color_up:
-        heads = ("Ur", "Ub")
-    else:
-        heads = (head,)
-    for tail in _color_expansions(rest, color_up):
-        for h in heads:
-            yield (h,) + tail
 
 
 @lru_cache(maxsize=None)
 def colored_motzkin_paths(length: int) -> tuple:
     """Mountain paths of the given length with level AND up steps
-    two-colored, canonically ordered.  Sorted after expanding, since a
-    colour chosen early outranks a later base letter."""
-    out = []
-    for p in motzkin_paths(length):
-        out.extend(_color_expansions(p, True))
-    out.sort()
+    two-colored, canonically ordered."""
+    out: list[tuple] = []
+    _grow_mountain(out, [], 0, length,
+                   (("D", -1), ("Hb", 0), ("Hr", 0), ("Ub", 1), ("Ur", 1)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def level_colored_motzkin_paths(length: int) -> tuple:
     """Mountain paths with only the level steps two-colored."""
-    out = []
-    for p in motzkin_paths(length):
-        out.extend(_color_expansions(p, False))
-    out.sort()
+    out: list[tuple] = []
+    _grow_mountain(out, [], 0, length, (("D", -1), ("Hb", 0), ("Hr", 0), ("U", 1)))
     return tuple(out)
 
 

@@ -19,8 +19,12 @@ and ``cache_clear()`` empties them.
 
 A polynomial is stored densely, one coefficient per power of ``l`` up
 to its degree, so the two ways input text names a power directly (a
-weight monomial from `LambdaPoly.weight`, an ``l^K`` in `parse_poly`)
+weight monomial from `LambdaPoly.weight`, an ``l^K`` in `read_poly`)
 stop at `MAX_DEGREE` with a `DomainError`, before anything is built.
+
+This module owns the coefficient syntax: `read_poly` reads a polynomial
+and `read_coefficient` a combination term's coefficient, each on the
+caller's `Cursor`, and `parse_poly` reads a whole text.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from functools import lru_cache
 from .errors import DomainError
 from .scan import Cursor, int_text
 
-__all__ = ["LambdaPoly", "ZERO", "ONE", "LAMBDA", "parse_poly"]
+__all__ = ["LambdaPoly", "ZERO", "ONE", "LAMBDA", "parse_poly", "read_poly",
+           "read_coefficient"]
 
 # The highest power of l that input may name.  A dense polynomial of this
 # degree holds ten million coefficients, about 80 MB of tuple.
@@ -134,11 +139,16 @@ class LambdaPoly:
         return result
 
     def eval_at(self, value: int) -> int:
-        """Evaluate at l = value by Horner's rule (exact)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        """Evaluate at l = value by Horner's rule over the nonzero
+        coefficients, with one power of ``value`` across each run of
+        zeros, so a sparse high power costs one ``pow`` (exact)."""
+        cs = self.coeffs
+        acc, at = 0, len(cs)
+        for k in range(len(cs) - 1, -1, -1):
+            if cs[k]:
+                acc = acc * value ** (at - k) + cs[k]
+                at = k
+        return acc * value ** at
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -223,22 +233,31 @@ def _product(a: tuple, b: tuple) -> LambdaPoly:
 
 
 def parse_poly(text: str) -> LambdaPoly:
-    """Parse the textual polynomial grammar.
+    """Parse a whole text as a polynomial (`read_poly`).  Round-trips
+    everything `__str__` emits."""
+    cur = Cursor(text)
+    if not cur.ws():
+        raise cur.error("empty polynomial", 0)
+    poly = read_poly(cur)
+    if cur.peek():
+        raise cur.error("unexpected character in polynomial")
+    return poly
+
+
+def read_poly(cur: Cursor) -> LambdaPoly:
+    """Read the polynomial grammar at the cursor, up to the first
+    character after a term that is not a sign.
 
     poly := ['+'|'-'] term (('+'|'-') term)*
     term := int | int '*' 'l' ('^' nat)? | 'l' ('^' nat)?
 
-    Whitespace is insignificant.  Round-trips everything `__str__` emits.
-    A power above `MAX_DEGREE` is a domain error.
+    Whitespace is insignificant.  A power above `MAX_DEGREE` is a domain error.
     """
-    cur = Cursor(text)
-    ch = cur.ws()
-    if not ch:
-        raise cur.error("empty polynomial", 0)
     coeffs: dict[int, int] = {}
+    ch = cur.ws()
     while True:  # every term after the first starts with its sign
         sign = 1
-        if ch in "+-":
+        if ch in ("+", "-"):
             if ch == "-":
                 sign = -1
             cur.pos += 1
@@ -269,9 +288,56 @@ def parse_poly(text: str) -> LambdaPoly:
             power = 0
         coeffs[power] = coeffs.get(power, 0) + sign * mag
         ch = cur.ws()
-        if not ch:
+        if ch not in ("+", "-"):
             break
-        if ch not in "+-":
-            raise cur.error("unexpected character in polynomial")
     top = max(coeffs)
     return LambdaPoly(tuple(coeffs.get(k, 0) for k in range(top + 1)))
+
+
+def read_coefficient(cur: Cursor) -> LambdaPoly:
+    """Read the coefficient of a combination's term and the ``*`` after
+    it; where none is written, return ONE and leave the cursor in place.
+
+    coefficient := '(' poly ')' | int | [int '*'] 'l' ['^' nat]
+
+    A ``(`` opens a coefficient only when a polynomial can begin after
+    it, so a planar tree may start a term.  A bare monomial has no
+    whitespace around its ``^``, and its numbers are converted only once
+    the ``*`` after it is seen: text that is no coefficient is left to
+    the element's grammar, errors and all.
+    """
+    start = cur.pos
+    ch = cur.peek()
+    if ch == "(":
+        cur.pos += 1
+        ch = cur.ws()
+        if ch.isdecimal() or ch in ("l", "+", "-"):
+            coeff = read_poly(cur)
+            if not cur.take(")"):
+                raise cur.error("unexpected character in polynomial")
+            if _times(cur):
+                return coeff
+    elif ch == "l" or ch.isdecimal():
+        mag = cur.digits()
+        if not mag or _times(cur):
+            if mag and cur.peek() != "l":
+                return LambdaPoly.const(cur.number(mag, start))
+            cur.pos += 1  # the 'l'
+            power = cur.digits() if cur.take("^") else "1"
+            if not power:
+                raise cur.error("expected exponent")
+            power_at = cur.pos - len(power)
+            if _times(cur):
+                c = cur.number(mag, start) if mag else 1
+                return LambdaPoly.weight(cur.number(power, power_at), c)
+    cur.pos = start
+    return ONE
+
+
+def _times(cur: Cursor) -> bool:
+    """Step over a ``*`` and the whitespace around it, if one comes next."""
+    if cur.ws() != "*":
+        return False
+    cur.pos += 1
+    cur.ws()
+    return True

@@ -1,5 +1,7 @@
 """The one text scanner behind the polynomial, tree, planar-tree, word
-and linear-combination parsers.
+and linear-combination parsers.  Each grammar has a reader that takes a
+`Cursor` and leaves it past what it read, so a linear combination is
+read in one pass: its terms, coefficients and elements on one cursor.
 
 A number is a run of decimal digits (``str.isdecimal``: ``²`` and other
 digit-like symbols that ``int`` refuses are not digits), and a number
@@ -73,30 +75,14 @@ class Cursor:
         run = self.digits()
         if not run:
             raise self.error("expected a number")
+        return self.number(run, start)
+
+    def number(self, run: str, start: int) -> int:
+        """The digit run ``run``, read from ``start``, as an int."""
         try:
             return int(run)
         except ValueError:  # more digits than int() converts
             raise self.error("number too long", start) from None
-
-    def group_end(self, stops: str = "") -> int:
-        """Index one past the parenthesized group that opens at the cursor;
-        given ``stops``, the index of the first of them outside every
-        group, or the end of the text."""
-        s = self.text
-        depth = 0
-        for k in range(self.pos, len(s)):
-            ch = s[k]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and not stops:
-                    return k + 1
-            elif depth == 0 and ch in stops:
-                return k
-        if stops:
-            return len(s)
-        raise self.error("unbalanced parentheses")
 
     def error(self, message: str, pos: int | None = None) -> ParseError:
         return ParseError(message, self.text, self.pos if pos is None else pos)

@@ -46,10 +46,11 @@ __all__ = [
     "Leaf", "LEAF", "Node", "Tree", "intern_node", "raised",
     "Family", "FAMILIES", "F22", "F2I", "FI2", "FII",
     "parse_family", "bidegree", "validate", "is_valid", "require_valid",
-    "parse_tree", "render_tree", "tree_sort_key",
+    "parse_tree", "read_tree", "render_tree", "tree_sort_key",
     "enumerate_trees", "enumerate_zero_root", "enumerate_positive_root",
     "count_trees",
-    "PTree", "PlanarTree", "intern_planar", "parse_planar", "render_planar",
+    "PTree", "PlanarTree", "intern_planar", "parse_planar", "read_planar",
+    "render_planar",
     "planar_trees", "binary_trees", "is_binary",
 ]
 
@@ -381,12 +382,13 @@ def render_tree(t: Tree) -> str:
 def parse_tree(text: str) -> Tree:
     """Parse the tree grammar ``tree := '.' | nat '(' tree (posint tree)+ ')'``."""
     cur = Cursor(text)
-    t = _read_tree(cur)
+    t = read_tree(cur)
     cur.finish("tree")
     return t
 
 
-def _read_tree(cur: Cursor) -> Tree:
+def read_tree(cur: Cursor) -> Tree:
+    """Read one tree at the cursor and leave the cursor just past it."""
     ch = cur.ws()
     if ch == ".":
         cur.pos += 1
@@ -399,7 +401,7 @@ def _read_tree(cur: Cursor) -> Tree:
     if cur.ws() != "(":
         raise cur.error("expected '(' after node label")
     cur.pos += 1
-    children = [_read_tree(cur)]
+    children = [read_tree(cur)]
     angles = []
     while True:
         ch = cur.ws()
@@ -409,7 +411,7 @@ def _read_tree(cur: Cursor) -> Tree:
         if not ch:
             raise cur.error("unterminated node (missing ')')")
         angles.append(cur.nat())
-        children.append(_read_tree(cur))
+        children.append(read_tree(cur))
     if len(children) < 2:
         raise cur.error("a node needs at least two children", cur.pos - 1)
     return Node(label, children, angles)
@@ -618,12 +620,14 @@ def render_planar(t: PlanarTree) -> str:
 
 def parse_planar(text: str) -> PlanarTree:
     cur = Cursor(text)
-    t = _read_planar(cur)
+    t = read_planar(cur)
     cur.finish("tree")
     return t
 
 
-def _read_planar(cur: Cursor) -> PlanarTree:
+def read_planar(cur: Cursor) -> PlanarTree:
+    """Read one planar tree, ``'.' | '(' tree tree+ ')'``, at the cursor
+    and leave the cursor just past it."""
     ch = cur.ws()
     if ch == ".":
         cur.pos += 1
@@ -641,7 +645,7 @@ def _read_planar(cur: Cursor) -> PlanarTree:
             break
         if not ch:
             raise cur.error("unterminated planar node")
-        children.append(_read_planar(cur))
+        children.append(read_planar(cur))
     if len(children) < 2:
         raise cur.error("a planar node needs at least two children", cur.pos - 1)
     return PTree(children)

@@ -46,6 +46,7 @@ from baxtertrees.trees import (
     is_valid,
     parse_tree,
     planar_trees,
+    read_tree,
     with_root_label,
 )
 
@@ -132,10 +133,10 @@ def test_lincomb_rejects_a_coefficient_that_is_no_polynomial():
 
 def test_parse_lincomb_round_trip():
     text = "2*1(. 2 .) - l*1(. 1 .) + (l^2 + 1)*0(. 1 .)"
-    a = parse_lincomb(text, parse_tree)
+    a = parse_lincomb(text, read_tree)
     assert tree_lincomb_parser(str(a)) == a
     with pytest.raises(ParseError):
-        parse_lincomb("1(. 1 .) +", parse_tree)
+        parse_lincomb("1(. 1 .) +", read_tree)
 
 
 @given(small_combs, small_combs)

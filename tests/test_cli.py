@@ -347,7 +347,15 @@ def test_non_decimal_and_overlong_numbers_are_parse_errors(capsys, argv):
     (["product", "--family", "2,2", "1(. 1 1(. 1 .) 1 .", "1(. 1 1(. 1 .) 1 .)"],
      "parse error: unterminated node (missing ')') (at position 18: '')"),
     (["product", "--family", "inf,inf", "(2*x)*1(. 1 .)", "1(. 1 .)"],
-     "parse error: expected 'l' after '*' (at position 2: 'x')"),
+     "parse error: expected 'l' after '*' (at position 3: 'x)*1(. 1 .)')"),
+    # Errors inside a later term of a combination report their offset in
+    # the whole operand.
+    (["product", "--family", "inf,inf", "1(. 1 .) + 1(. x .)", "1(. 1 .)"],
+     "parse error: expected a number (at position 15: 'x .)')"),
+    (["product", "--family", "inf,inf", "1(. 1 .) + (l+)*1(. 1 .)", "1(. 1 .)"],
+     "parse error: expected a term (at position 14: ')*1(. 1 .)')"),
+    (["product", "--family", "inf,inf", "1(. 1 .) + 2*1(. 1 .) x", "1(. 1 .)"],
+     "parse error: trailing input after tree (at position 22: 'x')"),
 ])
 def test_pinned_parse_error_lines(capsys, argv, line):
     code, out, err = run(capsys, *argv)

@@ -135,6 +135,9 @@ def test_plus_and_zero_classes_keep_the_canonical_order():
         assert schroder_paths(n, m) == plus_paths(n, m) == zero_paths(n, m) == ()
     for k in range(11):
         assert list(motzkin_paths(k)) == sorted(motzkin_paths(k))
+    for k in range(9):
+        for listing in (colored_motzkin_paths(k), level_colored_motzkin_paths(k)):
+            assert listing == tuple(sorted(listing))
 
 
 def test_path_class_totals():

@@ -77,6 +77,15 @@ def test_evaluation_is_a_ring_map(a, b, x):
     assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)
 
 
+def test_evaluation_of_sparse_and_mixed_polynomials():
+    sparse = LambdaPoly.weight(3000, -4)
+    mixed = LambdaPoly((5, 0, 0, -2) + (0,) * 100 + (7, 1))
+    for x in (-3, -1, 0, 1, 2, 3):
+        assert sparse.eval_at(x) == -4 * x ** 3000
+        assert mixed.eval_at(x) == 5 - 2 * x ** 3 + 7 * x ** 104 + x ** 105
+    assert ZERO.eval_at(5) == 0 and ONE.eval_at(0) == 1
+
+
 @given(polys)
 def test_render_parse_round_trip(a):
     assert parse_poly(str(a)) == a

@@ -12,7 +12,8 @@ from baxtertrees.paths import parse_path
 from baxtertrees.scalars import LambdaPoly, parse_poly
 from baxtertrees.scan import Cursor
 from baxtertrees.trees import (
-    Family, INF, enumerate_trees, parse_planar, parse_tree, planar_trees,
+    Family, INF, enumerate_trees, parse_planar, parse_tree, planar_trees, read_planar,
+    read_tree,
 )
 
 import pytest
@@ -29,7 +30,7 @@ PARSERS = {
     "poly": parse_poly,
     "tree": parse_tree,
     "planar": parse_planar,
-    "lincomb": lambda s: parse_lincomb(s, parse_tree),
+    "lincomb": lambda s: parse_lincomb(s, read_tree),
     "path": parse_path,
     "word": parse_word,
 }
@@ -54,14 +55,6 @@ def test_nat_rejects_a_number_too_long_for_int():
     with pytest.raises(ParseError, match="number too long") as info:
         Cursor(LONG).nat()
     assert info.value.pos == 0
-
-
-def test_group_end_and_stops():
-    cur = Cursor("(a (b) c) + d")
-    assert cur.group_end() == 9
-    assert cur.group_end("+-") == 10
-    with pytest.raises(ParseError, match="unbalanced parentheses"):
-        Cursor("((a)").group_end()
 
 
 def test_ws_finish_and_take():
@@ -97,8 +90,25 @@ def test_arbitrary_text_raises_only_package_errors(name):
 
 def test_unicode_digit_exponent_after_l_is_an_exponent_error():
     with pytest.raises(ParseError, match="expected exponent") as info:
-        parse_lincomb("l^²*1(. 1 .)", parse_tree)
+        parse_lincomb("l^²*1(. 1 .)", read_tree)
     assert info.value.pos == 2
+
+
+@given(texts)
+@example("2*1(. x .)")
+@example(" 1(. 1 .) + (l+)*1(. 1 .) ")
+@example("1(. 1 .) - l^3*1(. 1 .) x")
+@example("(1 + l*0(. 2 .)")
+def test_a_combination_error_points_into_the_whole_operand(text):
+    # One cursor reads every term, coefficient and element, so an error
+    # anywhere carries the whole stripped operand and an offset in it.
+    try:
+        parse_lincomb(text, read_tree)
+    except ParseError as err:
+        assert err.text == text.strip()
+        assert 0 <= err.pos <= len(err.text)
+    except DomainError:
+        pass
 
 
 # -- round trips ------------------------------------------------------------
@@ -106,13 +116,13 @@ def test_unicode_digit_exponent_after_l_is_an_exponent_error():
 @given(st.dictionaries(st.sampled_from(PLANAR), polys, max_size=4))
 def test_planar_combination_round_trip(terms):
     a = LinComb(terms)
-    assert parse_lincomb(str(a), parse_planar) == a
+    assert parse_lincomb(str(a), read_planar) == a
 
 
 @given(st.dictionaries(st.sampled_from(TREES), polys, max_size=4))
 def test_tree_combination_round_trip(terms):
     a = LinComb(terms)
-    assert parse_lincomb(str(a), parse_tree) == a
+    assert parse_lincomb(str(a), read_tree) == a
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=9))
