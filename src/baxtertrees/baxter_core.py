@@ -277,7 +277,7 @@ def parse_lincomb(text: str, read_elem: Callable[[Cursor], object]) -> LinComb:
         coeff = read_coefficient(cur)
         if cur.ws() in ("", "+", "-"):
             raise cur.error("expected a basis element")
-        terms.append((read_elem(cur), coeff * sign))
+        terms.append((read_elem(cur), coeff if sign > 0 else -coeff))
         if cur.ws() not in ("", "+", "-"):
             raise cur.error("trailing input after tree")
     return LinComb(terms)

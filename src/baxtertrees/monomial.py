@@ -146,18 +146,17 @@ def parse_word(text: str, variant: str = "infinity") -> Word:
     runs: list[tuple[int, int]] = []
     while cur.ws():
         start = cur.pos
-        base, caret, exp = cur.span(lambda ch: not ch.isspace()).partition("^")
+        base = cur.span(lambda ch: not ch.isspace() and ch != "^")
         if base not in ("x0", "x1"):
             raise cur.error(f"unknown letter {base!r}", start)
         k = 1
-        if caret:
-            num = Cursor(exp)
-            try:
-                k = num.nat()
-            except ParseError:
-                k = 0
-            if k < 1 or num.peek():
-                raise cur.error(f"bad exponent {exp!r}", start)
+        if cur.take("^"):
+            at = cur.pos
+            run = cur.digits()
+            rest = cur.span(lambda ch: not ch.isspace())
+            k = cur.number(run, at) if run and not rest else 0
+            if k < 1:
+                raise cur.error(f"bad exponent {run + rest!r}", start)
         runs.append((int(base[1]), k))
     if not runs:
         raise ParseError("empty word text", text, 0)

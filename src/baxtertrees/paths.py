@@ -17,18 +17,27 @@ Two path worlds appear:
 
 The bijections implemented here:
 
-* ``strip_angles`` / ``restore_angles`` — trade angle labels for runs of
+* ``encode_positive`` / ``decode_positive`` — a decorated tree with
+  positive root and its plus-class path, read in one walk of the tree or
+  one pass over the path, building no planar tree: the path of ``t`` is
+  the reading of ``strip_angles(t)``, so an angle label j gives the j−1
+  ``D`` steps of the interior leaves it stands for, then the ``D`` or
+  ``V`` of the next child; ``encode_zero`` / ``decode_zero`` add the
+  class trade below for root label 0;
+* the planar API, the same maps as the paper composes them:
+  ``strip_angles`` / ``restore_angles`` trade angle labels for runs of
   interior leaves (label j becomes j−1 leaves) between a decorated tree
-  with positive root and its bare planar shape;
-* ``tree_to_path`` / ``path_to_tree`` — depth-first reading of a planar
-  tree: ``H`` at the leftmost child, ``D`` at each interior child, ``V``
-  at the rightmost, each emitted before descending;
+  with positive root and its bare planar shape, and ``tree_to_path`` /
+  ``path_to_tree`` read a planar tree depth first: ``H`` at the leftmost
+  child, ``D`` at each interior child, ``V`` at the rightmost, each
+  emitted before descending;
 * ``to_zero_class`` / ``to_plus_class`` — trade the outer ``H``…``V``
   frame of a plus-class path for a diagonal ``D``, converting between
   the plus class with m+1 horizontals and the zero class with m;
 * ``to_colored_motzkin`` / ``from_colored_motzkin`` — the pairwise token
   rewriting that encodes a forced-label tree as a colored mountain path
-  two steps shorter than its diagonal path, and its inverse in one pass:
+  two steps shorter than its diagonal path (read by the same walk), and
+  its inverse in one pass:
   up steps matched with their down steps show which ``Ub`` steps a
   ``(V, DH)`` pair inserted, and the rest reads as a prefix code;
 * ``rotate_to_motzkin`` / ``rotate_from_motzkin`` — the 45-degree
@@ -47,7 +56,7 @@ from .errors import DomainError
 from .scan import Cursor
 from .trees import (
     F22, FI2, LEAF, Node, PTree, PlanarTree, Tree,
-    bidegree, raised, require_valid, with_root_label,
+    intern_node, raised, require_valid, with_root_label,
 )
 
 __all__ = [
@@ -583,7 +592,8 @@ def to_colored_motzkin(t: Tree) -> Path:
     require_valid(F22, t, "not a valid fully-forced tree")
     if t.label != 1:
         raise DomainError("root label must be 1 (raise a root-0 tree first)")
-    p = tree_to_path(_strip(t))  # valid in 2,2 with root 1: strippable
+    p: list[str] = []
+    _emit_steps(t, p)
     tokens = _core_tokens(p[1:-1])
     # Certificate: the core of a 2,2 tree's path has an even token count.
     if len(tokens) % 2:
@@ -633,7 +643,7 @@ def from_colored_motzkin(path: Sequence[str]) -> Tree:
                 pairs.append(_PAIR_OF[image])
                 image = ()
     core = "".join(a + b for a, b in pairs)  # token DH is the steps D, H
-    t = restore_angles(path_to_tree(("H",) + tuple(core) + ("V",)))
+    t = decode_positive(("H",) + tuple(core) + ("V",))
     if to_colored_motzkin(t) != path:
         raise DomainError("internal error: the decoded tree does not encode back")
     return t
@@ -665,14 +675,77 @@ def rotate_from_motzkin(p: Sequence[str]) -> Path:
 # ---------------------------------------------------------------------------
 
 def encode_positive(t: Tree) -> Path:
-    """Positive-root tree -> plus-class path (shape reading after angle
-    stripping)."""
-    return tree_to_path(strip_angles(t))
+    """Positive-root tree -> plus-class path: the reading of
+    ``strip_angles(t)``, taken from ``t`` in one walk."""
+    require_valid(FI2, t, "not a valid forced-label tree")
+    if t.label == 0:
+        raise DomainError("root label 0: raise the root before stripping")
+    steps: list[str] = []
+    _emit_steps(t, steps)
+    return tuple(steps)
+
+
+def _emit_steps(t: Node, steps: list) -> None:
+    """Append the reading of the stripped ``t`` to ``steps``: H before the
+    first child, then for each angle ``a`` the ``a - 1`` D steps of its
+    interior leaves and a D before the next child, or a V before the
+    last."""
+    steps.append("H")
+    kids = t.children
+    if not kids[0].is_leaf:
+        _emit_steps(kids[0], steps)
+    last = len(kids) - 1
+    for k, angle in enumerate(t.angles, 1):
+        if angle > 1:
+            steps += ["D"] * (angle - 1)
+        steps.append("V" if k == last else "D")
+        if not kids[k].is_leaf:
+            _emit_steps(kids[k], steps)
 
 
 def decode_positive(p: Sequence[str]) -> Tree:
     """Plus-class path -> the root-label-1 tree."""
-    return restore_angles(path_to_tree(p))
+    return _decode(p, 1)
+
+
+def _decode(p: Sequence[str], label: int) -> Node:
+    """``restore_angles(path_to_tree(p))`` with root label ``label``,
+    read from ``p`` in one pass; raises as `path_to_tree` does."""
+    if _checked(p)[2] is not None:
+        raise DomainError("path has a diagonal step on the diagonal")
+    if not p:
+        raise DomainError("empty path has no tree")
+    return _read_node(p, 0, label)[0]
+
+
+def _read_node(p: Sequence[str], pos: int, label: int) -> tuple:
+    """The decorated tree read from the H at ``pos`` with root label
+    ``label``, and the position after it.  A child starts after this
+    node's H, after each of its D steps and after its V: an H there
+    starts a node, and anything else is a leaf.  The first and last
+    children always stay, and a leaf after a D is interior: it widens
+    the angle before the next child that stays.  Once the class checks
+    pass, each node's D steps run to its V."""
+    end = len(p)
+    children: list = []
+    angles: list = []
+    angle = 1
+    while True:
+        step = p[pos]  # this node's H, one of its D steps, or its V
+        pos += 1
+        if pos < end and p[pos] == "H":
+            child, pos = _read_node(p, pos, 1)
+        elif step == "D":
+            angle += 1
+            continue
+        else:
+            child = LEAF
+        if children:
+            angles.append(angle)
+            angle = 1
+        children.append(child)
+        if step == "V":
+            return intern_node(label, tuple(children), tuple(angles)), pos
 
 
 def encode_zero(t: Tree) -> Path:
@@ -685,5 +758,4 @@ def encode_zero(t: Tree) -> Path:
 
 def decode_zero(q: Sequence[str]) -> Tree:
     """Zero-class path -> the root-label-0 tree."""
-    t = decode_positive(to_plus_class(q))
-    return with_root_label(t, 0)
+    return _decode(to_plus_class(q), 0)

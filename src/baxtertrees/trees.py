@@ -21,8 +21,8 @@ labels, sum of internal-node labels).
 
 This module also houses the unlabeled planar rooted trees (every internal
 node has at least two children, interior leaves allowed) used by the
-dendriform structures and the path bijections, and the binary trees
-among them, built by their own two-child grammar.
+dendriform structures and the planar API of the path bijections, and the
+binary trees among them, built by their own two-child grammar.
 
 It is the one module that answers questions about a tree's shape.  Each
 tree caches its degrees at the head of its sort key (`tree_sort_key`

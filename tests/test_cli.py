@@ -313,7 +313,9 @@ def test_non_decimal_and_overlong_numbers_are_parse_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("parse error: ") and err.count("\n") == 1
-    if argv[0] == "word":
+    if argv[-1] == f"x1^{LONG}":
+        assert err == f"parse error: number too long (at position 3: '{LONG[:12]}')\n"
+    elif argv[0] == "word":
         assert err.startswith("parse error: bad exponent '")
 
 

@@ -75,6 +75,10 @@ def test_parse_word_rejects_bad_text():
     ("x0^2 2", "unknown letter '2'", 5),
     ("x1^", "bad exponent ''", 0),  # a caret needs digits
     ("x1^ x0", "bad exponent ''", 0),
+    ("x0 x1^12a", "bad exponent '12a'", 3),
+    ("x1^2^3", "bad exponent '2^3'", 0),
+    pytest.param("x0 x1^" + "9" * 5000, "number too long", 6,  # 12 characters quoted
+                 id="x0 x1^<5000 nines>-number too long-6"),
 ])
 def test_parse_word_errors_point_at_their_token(text, message, pos):
     with pytest.raises(ParseError) as info:

@@ -7,9 +7,12 @@ import weakref
 from hypothesis import given
 from hypothesis import strategies as st
 
+from baxtertrees import trees
 from baxtertrees.counting import catalan, motzkin, schroder_large
 from baxtertrees.errors import DomainError, ParseError
 from baxtertrees.paths import (
+    _core_tokens,
+    _rewrite_pairs,
     classify_path,
     colored_motzkin_paths,
     decode_positive,
@@ -41,12 +44,15 @@ from baxtertrees.paths import (
 from baxtertrees.trees import (
     Family,
     INF,
+    LEAF,
     enumerate_positive_root,
     enumerate_trees,
     enumerate_zero_root,
+    intern_node,
     parse_planar,
     parse_tree,
     planar_trees,
+    with_root_label,
 )
 
 import pytest
@@ -277,6 +283,108 @@ def test_shape_reading_matches_leaf_count():
                 assert path_to_tree(path) == strip_angles(tree)
 
 
+# -- the one-walk encoders and decoders against the planar route ------------
+
+def _pair_rewrite(p):
+    """The colored mountain path of a 2,2 tree's diagonal path ``p``: its
+    core cut into tokens, the tokens into pairs, the pairs rewritten."""
+    tokens = _core_tokens(p[1:-1])
+    return _rewrite_pairs(list(zip(tokens[::2], tokens[1::2])))
+
+
+def test_encoders_read_the_stripped_tree():
+    for n in range(1, 8):
+        for m in range(1, n + 1):
+            for tree in enumerate_positive_root(FI2, n, m):
+                assert encode_positive(tree) == tree_to_path(strip_angles(tree))
+            for tree in enumerate_positive_root(F22, n, m):
+                assert to_colored_motzkin(tree) == _pair_rewrite(
+                    tree_to_path(strip_angles(tree)))
+
+
+def test_decoders_restore_the_parsed_tree():
+    for n in range(1, 8):
+        for m in range(n + 1):
+            for p in plus_paths(n, m):
+                assert decode_positive(p) is restore_angles(path_to_tree(p))
+            for q in zero_paths(n, m):
+                assert decode_zero(q) is with_root_label(
+                    restore_angles(path_to_tree(to_plus_class(q))), 0)
+
+
+def test_encoders_and_decoders_build_no_planar_tree(monkeypatch):
+    def refuse(children):
+        raise AssertionError(f"a planar tree was built: {children}")
+
+    live = set(trees._PLANAR)
+    monkeypatch.setattr(trees, "intern_planar", refuse)
+    for n in range(1, 5):
+        for m in range(n + 1):
+            for tree in enumerate_zero_root(FI2, n, m):
+                assert decode_zero(encode_zero(tree)) is tree
+        for m in range(1, n + 1):
+            for tree in enumerate_positive_root(FI2, n, m):
+                assert decode_positive(encode_positive(tree)) is tree
+            for tree in enumerate_positive_root(F22, n, m):
+                assert from_colored_motzkin(to_colored_motzkin(tree)) is tree
+    assert set(trees._PLANAR) <= live
+
+
+def _chain(levels, angles):
+    """A tree ``levels`` nodes deep, every label 1: each node holds a leaf
+    and the node below it, on alternating sides, with its angle taken in
+    turn from ``angles``."""
+    tree = LEAF
+    for k in range(levels):
+        kids = (LEAF, tree) if k % 2 else (tree, LEAF)
+        tree = intern_node(1, kids, (angles[k % len(angles)],))
+    return tree
+
+
+def test_a_900_level_chain_round_trips():
+    tree = _chain(900, (1, 2, 3))
+    p = encode_positive(tree)
+    assert len(p) == 900 + 300 * (1 + 2 + 3)  # an H a node, a D or V an angle unit
+    assert decode_positive(p) is tree
+    forced = _chain(900, (1,))
+    assert from_colored_motzkin(to_colored_motzkin(forced)) is forced
+
+
+def _outcome(f, arg):
+    """``f(arg)``, or the type and text of the `DomainError` it raises."""
+    try:
+        return f(arg)
+    except DomainError as err:
+        return DomainError, str(err)
+
+
+@pytest.mark.parametrize("text, message", [
+    (".", "not a valid forced-label tree: leaf: the bare leaf is not an "
+          "algebra basis element"),
+    ("0(. 1 .)", "root label 0: raise the root before stripping"),
+    ("2(. 1 .)", "not a valid forced-label tree: label-range: root label 2 "
+                 "not in {0, 1}"),
+    ("1(. 1 2(. 1 .))", "not a valid forced-label tree: label-range: "
+                        "non-root label 2 must be 1"),
+])
+def test_encode_positive_raises_as_the_planar_route(text, message):
+    tree = t(text)
+    outcome = _outcome(encode_positive, tree)
+    assert outcome == (DomainError, message)
+    assert outcome == _outcome(lambda x: tree_to_path(strip_angles(x)), tree)
+
+
+@pytest.mark.parametrize("text, message", [
+    (".", "not a valid fully-forced tree: leaf: the bare leaf is not an "
+          "algebra basis element"),
+    ("0(. 1 .)", "root label must be 1 (raise a root-0 tree first)"),
+    ("1(. 2 .)", "not a valid fully-forced tree: label-range: angle label 2 "
+                 "must be 1"),
+])
+def test_to_colored_motzkin_errors_pinned(text, message):
+    assert _outcome(to_colored_motzkin, t(text)) == (DomainError, message)
+
+
 # -- pinned errors ----------------------------------------------------------
 
 def _domain_error(f, text):
@@ -304,12 +412,17 @@ def test_schroder_params_errors_pinned():
 
 
 def test_class_conversion_errors_pinned():
-    for f in (path_to_tree, to_zero_class, to_plus_class):
+    for f in (path_to_tree, decode_positive, to_zero_class, to_plus_class,
+              decode_zero):
         for text, message in _DIAGONAL_ERRORS.items():
             assert _domain_error(f, text) == message, (f.__name__, text)
-    assert _domain_error(path_to_tree, "D") == "path has a diagonal step on the diagonal"
-    assert _domain_error(path_to_tree, "DHVD") == "path has a diagonal step on the diagonal"
-    assert _domain_error(path_to_tree, "") == "empty path has no tree"
+    for f in (path_to_tree, decode_positive):
+        assert _domain_error(f, "D") == "path has a diagonal step on the diagonal"
+        assert _domain_error(f, "HVD") == "path has a diagonal step on the diagonal"
+        assert _domain_error(f, "DHVD") == "path has a diagonal step on the diagonal"
+        assert _domain_error(f, "") == "empty path has no tree"
+    assert _domain_error(decode_zero, "HDHVV") == "input must be in the zero class"
+    assert _domain_error(decode_zero, "") == "input must be in the zero class"
     assert _domain_error(to_zero_class, "DHVD") == "input must be in the plus class"
     assert _domain_error(to_zero_class, "") == (
         "plus-class path must start with H and end with V")
@@ -319,19 +432,24 @@ def test_class_conversion_errors_pinned():
 
 def test_path_to_tree_reads_back_or_raises_a_pinned_error_on_every_short_word():
     # Every H/V/D word of length at most 10 either is the reading of a
-    # tree or fails a class check, with one of the messages pinned above.
+    # tree or fails a class check, with one of the messages pinned above;
+    # `decode_positive` reads the same tree with its angles restored, or
+    # raises the same error.
     pinned = set(_DIAGONAL_ERRORS.values()) | {
         "path has a diagonal step on the diagonal", "empty path has no tree"}
     unbalanced = re.compile(r"unbalanced path: \d+ H steps vs \d+ V steps")
     parsed = 0
     for length in range(11):
         for steps in itertools.product("HVD", repeat=length):
-            try:
-                tree = path_to_tree(steps)
-            except DomainError as err:
-                assert str(err) in pinned or unbalanced.fullmatch(str(err)), steps
+            tree = _outcome(path_to_tree, steps)
+            decoded = _outcome(decode_positive, steps)
+            if isinstance(tree, tuple):
+                message = tree[1]
+                assert message in pinned or unbalanced.fullmatch(message), steps
+                assert decoded == tree, steps
             else:
                 assert tree_to_path(tree) == steps
+                assert decoded is restore_angles(tree)
                 parsed += 1
     assert parsed == 988
 

@@ -5,6 +5,7 @@ parse back to themselves."""
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from baxtertrees import scalars
 from baxtertrees.baxter_core import LinComb, parse_lincomb
 from baxtertrees.errors import DomainError, ParseError
 from baxtertrees.monomial import Word, parse_word, render_word
@@ -109,6 +110,16 @@ def test_a_combination_error_points_into_the_whole_operand(text):
         assert 0 <= err.pos <= len(err.text)
     except DomainError:
         pass
+
+
+def test_a_term_sign_multiplies_no_polynomials():
+    # A minus sign negates its coefficient; no product runs, so the
+    # product memo gains no entry.
+    before = scalars._product.cache_info().currsize
+    a = parse_lincomb("(987654321*l^3)*1(. 1 .) - (l + 86421)*1(. 2 .) - 1(. 3 .)",
+                      read_tree)
+    assert scalars._product.cache_info().currsize == before
+    assert str(a) == "-1(. 3 .) - (l + 86421)*1(. 2 .) + 987654321*l^3*1(. 1 .)"
 
 
 # -- round trips ------------------------------------------------------------
