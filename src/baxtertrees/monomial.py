@@ -138,6 +138,12 @@ def render_word(w: Word) -> str:
                     for b, k in w.runs) or "1"
 
 
+def _quoted(token: str) -> str:
+    """``token`` quoted for an error message: its first 12 characters, as
+    a `ParseError`'s position excerpt shows, and ``...`` if it is longer."""
+    return repr(token[:12]) + ("..." if len(token) > 12 else "")
+
+
 def parse_word(text: str, variant: str = "infinity") -> Word:
     """Parse ``x1^2 x0^3``-style text.  Variant-two words must already
     be in normal form (use the quotient map to collapse free words)."""
@@ -148,7 +154,7 @@ def parse_word(text: str, variant: str = "infinity") -> Word:
         start = cur.pos
         base = cur.span(lambda ch: not ch.isspace() and ch != "^")
         if base not in ("x0", "x1"):
-            raise cur.error(f"unknown letter {base!r}", start)
+            raise cur.error(f"unknown letter {_quoted(base)}", start)
         k = 1
         if cur.take("^"):
             at = cur.pos
@@ -156,7 +162,7 @@ def parse_word(text: str, variant: str = "infinity") -> Word:
             rest = cur.span(lambda ch: not ch.isspace())
             k = cur.number(run, at) if run and not rest else 0
             if k < 1:
-                raise cur.error(f"bad exponent {run + rest!r}", start)
+                raise cur.error(f"bad exponent {_quoted(run + rest)}", start)
         runs.append((int(base[1]), k))
     if not runs:
         raise ParseError("empty word text", text, 0)

@@ -20,7 +20,7 @@ import os
 import random
 import time
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .baxter_core import (
     LinComb, _collector_paused, beta, beta_lc, circle, circle_lc,
@@ -64,7 +64,7 @@ DEFAULT_SEED = 271828
 BUDGETS = ("quick", "desk")
 
 # Per-suite size knobs.  The desk values are the bounds the library
-# advertises; quick is a strict subset for fast smokes.
+# advertises; quick never exceeds them, for fast smokes.
 _BOUNDS = {
     "quick": dict(
         dims_forced=(5, 5), dims_free=(5, 5), dims_cross=4,
@@ -261,23 +261,18 @@ def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
     def free_angle(n: int, m: int) -> int:
         return tables[FI2][(n, m)]
 
-    bad = [
-        (n, m)
-        for n in range(1, top + 1)
-        for m in range(1, top + 1)
-        if tables[FI2][(n, m)]
-        != binomial_transform_table(forced, n, m, in_first=True, in_second=False)
-    ]
-    rec.all_equal("free-angle table is the first-variable transform of forced", bad)
-
-    bad = [
-        (n, m)
-        for n in range(1, top + 1)
-        for m in range(1, top + 1)
-        if tables[F2I][(n, m)]
-        != binomial_transform_table(forced, n, m, in_first=False, in_second=True)
-    ]
-    rec.all_equal("free-label table is the second-variable transform of forced", bad)
+    for family, first, name in (
+        (FI2, True, "free-angle table is the first-variable transform of forced"),
+        (F2I, False, "free-label table is the second-variable transform of forced"),
+    ):
+        bad = [
+            (n, m)
+            for n in range(1, top + 1)
+            for m in range(1, top + 1)
+            if tables[family][(n, m)] != binomial_transform_table(
+                forced, n, m, in_first=first, in_second=not first)
+        ]
+        rec.all_equal(name, bad)
 
     bad = []
     for n in range(1, top + 1):
@@ -290,13 +285,12 @@ def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 bad.append((n, m))
     rec.all_equal("doubly free table is the transform in both variables", bad)
 
-    bad = []
-    for family in (F2I, FII):
-        for n in range(1, top + 1):
-            expected = 1 if family.i == INF or n == 1 else 0
-            for m in range(0, 1):
-                if tables[family][(n, m)] != expected:
-                    bad.append((family, n, m))
+    bad = [
+        (family, n, 0)
+        for family in (F2I, FII)
+        for n in range(1, top + 1)
+        if tables[family][(n, 0)] != (1 if family.i == INF or n == 1 else 0)
+    ]
     rec.all_equal("label-free families keep the forced corner-tree row at m=0", bad)
 
 
@@ -372,17 +366,22 @@ def _suite_series(b: dict, rec: _Recorder, rng: random.Random) -> None:
 # identities: the operator law, associativity, quasi-idempotency
 # ---------------------------------------------------------------------------
 
+def _operator_law(family: Family, pairs: Iterable) -> list:
+    """The pairs (a, c) on which beta(a)beta(c) != beta(a*c)."""
+    return [
+        (family, str(a), str(c))
+        for a, c in pairs
+        if circle_lc(family, beta(family, a), beta(family, c))
+        != beta_lc(family, star(family, a, c))
+    ]
+
+
 def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
     p = b["ident_pair"]
     bad = []
     for family in FAMILIES:
         pool = _trees_upto(family, p)
-        for a in pool:
-            for c in pool:
-                lhs = circle_lc(family, beta(family, a), beta(family, c))
-                rhs = beta_lc(family, star(family, a, c))
-                if lhs != rhs:
-                    bad.append((family, str(a), str(c)))
+        bad += _operator_law(family, ((a, c) for a in pool for c in pool))
     rec.all_equal(
         f"operator law beta(a)beta(b) = beta(a*b) on pairs of total degree <= {p}",
         bad,
@@ -429,19 +428,9 @@ def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
     if extra:
         bad = []
         for family in FAMILIES:
-            pool = [
-                t
-                for n in range(1, 5)
-                for t in enumerate_trees(family, n, 4 - n)
-            ]
-            if not pool:
-                continue
-            for _ in range(extra):
-                a, c = rng.choice(pool), rng.choice(pool)
-                lhs = circle_lc(family, beta(family, a), beta(family, c))
-                rhs = beta_lc(family, star(family, a, c))
-                if lhs != rhs:
-                    bad.append((family, str(a), str(c)))
+            pool = [t for n in range(1, 5) for t in enumerate_trees(family, n, 4 - n)]
+            bad += _operator_law(
+                family, ((rng.choice(pool), rng.choice(pool)) for _ in range(extra)))
         rec.all_equal("operator law on random pairs of total degree 4", bad)
 
 
@@ -450,108 +439,87 @@ def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
 # ---------------------------------------------------------------------------
 
 def _suite_examples(b: dict, rec: _Recorder, rng: random.Random) -> None:
-    t = parse_tree
-
+    t, lc = parse_tree, tree_lincomb_parser
+    raised = circle(FI2, t("1(. 2 .)"), t("1(. 3 .)"))
+    raised_text = "1(1(. 2 .) 3 .) + 1(. 2 1(. 3 .)) + l*1(. 5 .)"
     cases = [
         ("corner product adds angle labels",
-         circle(FII, t("0(. 2 .)"), t("0(. 3 .)")), "0(. 5 .)"),
+         circle(FII, t("0(. 2 .)"), t("0(. 3 .)")), lc("0(. 5 .)")),
         ("raised corner times corner grafts on the left",
-         circle(FII, t("1(. 2 .)"), t("0(. 3 .)")), "0(1(. 2 .) 3 .)"),
+         circle(FII, t("1(. 2 .)"), t("0(. 3 .)")), lc("0(1(. 2 .) 3 .)")),
         ("derived product of corners has three terms",
          star(FII, t("0(. 2 .)"), t("0(. 3 .)")),
-         "0(1(. 2 .) 3 .) + 0(. 2 1(. 3 .)) + l*0(. 5 .)"),
-        ("raised product in the collapsed-label family",
-         circle(FI2, t("1(. 2 .)"), t("1(. 3 .)")),
-         "1(1(. 2 .) 3 .) + 1(. 2 1(. 3 .)) + l*1(. 5 .)"),
+         lc("0(1(. 2 .) 3 .) + 0(. 2 1(. 3 .)) + l*0(. 5 .)")),
+        ("raised product in the collapsed-label family", raised, lc(raised_text)),
+        ("raised product renders verbatim", str(raised), raised_text),
+        ("grafting merges an interior leaf into its flanking angles",
+         graft(FII, [t("1(. 1 .)"), LEAF, LEAF], [2, 1]), t("0(1(. 1 .) 3 .)")),
+        ("grafting a single subtree returns it unchanged",
+         graft(FII, [t("1(. 4 .)")], []), t("1(. 4 .)")),
+        ("grafting three leaves saturates to the generator",
+         graft(F22, [LEAF, LEAF, LEAF], [1, 1]), t("0(. 1 .)")),
+        ("degrafting splits a root-0 tree at the root",
+         degraft(t("0(1(. 1 .) 3 .)")), ((t("1(. 1 .)"), LEAF), (3,))),
+        ("degrafting leaves a positive-root tree whole",
+         degraft(t("1(1(. 1 .) 3 .)")), ((t("1(1(. 1 .) 3 .)"),), ())),
+        ("degrafting the generator yields two leaves and one angle",
+         degraft(t("0(. 1 .)")), ((LEAF, LEAF), (1,))),
+        ("operator raises the root label",
+         beta(FII, t("0(. 3 .)")), lc("1(. 3 .)")),
+        ("induced left operation on generators",
+         rb_dendriform(FI2, "left", generator(FI2), generator(FI2)),
+         lc("0(. 1 1(. 1 .))")),
+        ("induced middle operation on generators adds angles",
+         rb_dendriform(FII, "dot", generator(FII), generator(FII)),
+         lc("0(. 2 .)")),
     ]
-    for name, got, expect in cases:
-        want = tree_lincomb_parser(expect)
-        rec.check(name, got == want, f"got {got}, expected {expect}")
-
-    disp = str(circle(FI2, t("1(. 2 .)"), t("1(. 3 .)")))
-    expect = "1(1(. 2 .) 3 .) + 1(. 2 1(. 3 .)) + l*1(. 5 .)"
-    rec.check("raised product renders verbatim", disp == expect, disp)
-
-    rec.check(
-        "grafting merges an interior leaf into its flanking angles",
-        graft(FII, [t("1(. 1 .)"), LEAF, LEAF], [2, 1]) == t("0(1(. 1 .) 3 .)"),
-        str(graft(FII, [t("1(. 1 .)"), LEAF, LEAF], [2, 1])),
-    )
-    rec.check(
-        "grafting a single subtree returns it unchanged",
-        graft(FII, [t("1(. 4 .)")], []) == t("1(. 4 .)"),
-        "",
-    )
-    rec.check(
-        "grafting three leaves saturates to the generator",
-        graft(F22, [LEAF, LEAF, LEAF], [1, 1]) == t("0(. 1 .)"),
-        str(graft(F22, [LEAF, LEAF, LEAF], [1, 1])),
-    )
-    rec.check(
-        "degrafting splits a root-0 tree at the root",
-        degraft(t("0(1(. 1 .) 3 .)")) == ((t("1(. 1 .)"), LEAF), (3,)),
-        "",
-    )
-    rec.check(
-        "degrafting leaves a positive-root tree whole",
-        degraft(t("1(1(. 1 .) 3 .)")) == ((t("1(1(. 1 .) 3 .)"),), ()),
-        "",
-    )
-    rec.check(
-        "degrafting the generator yields two leaves and one angle",
-        degraft(t("0(. 1 .)")) == ((LEAF, LEAF), (1,)),
-        "",
-    )
-    rec.check(
-        "operator raises the root label",
-        beta(FII, t("0(. 3 .)")) == LinComb.of(t("1(. 3 .)")),
-        "",
-    )
-    g = generator(FI2)
-    rec.check(
-        "induced left operation on generators",
-        rb_dendriform(FI2, "left", g, g) == LinComb.of(t("0(. 1 1(. 1 .))")),
-        "",
-    )
-    rec.check(
-        "induced middle operation on generators adds angles",
-        rb_dendriform(FII, "dot", generator(FII), generator(FII))
-        == LinComb.of(t("0(. 2 .)")),
-        "",
-    )
+    for name, got, want in cases:
+        rec.check(name, got == want, f"got {got}, expected {want}")
 
 
 # ---------------------------------------------------------------------------
 # bijections: round-trips, image classes, cardinalities
 # ---------------------------------------------------------------------------
 
+def _round_trip(classes: Iterable, encode: Callable, decode: Callable,
+                shown: Callable) -> list:
+    """Encode the items of each ``(key, items, targets)`` class.  An item
+    that does not decode back is a counterexample ``shown(item)``, and a
+    class whose images are not exactly ``targets`` is one ``key``."""
+    bad = []
+    for key, items, targets in classes:
+        images = set()
+        for t in items:
+            p = encode(t)
+            images.add(p)
+            if decode(p) != t:
+                bad.append(shown(t))
+        if images != set(targets):
+            bad.append(key)
+    return bad
+
+
 def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     top = b["bij_n"]
 
-    bad = []
-    for n in range(1, top + 1):
-        for m in range(1, n + 1):
-            for t in enumerate_positive_root(FI2, n, m):
-                if restore_angles(strip_angles(t)) != t:
-                    bad.append(str(t))
+    bad = [
+        str(t)
+        for n in range(1, top + 1)
+        for m in range(1, n + 1)
+        for t in enumerate_positive_root(FI2, n, m)
+        if restore_angles(strip_angles(t)) != t
+    ]
     rec.all_equal(f"strip/restore is the identity on raised trees up to n={top}", bad)
 
     bad = []
-    for n in range(1, top + 1):
+    for n in range(1, top + 1):  # a class at a time: its path round trip follows
         for m in range(1, n + 1):
-            trees = enumerate_positive_root(FI2, n, m)
             paths = plus_paths(n, m)
-            images = set()
-            for t in trees:
-                p = encode_positive(t)
-                images.add(p)
-                if decode_positive(p) != t:
-                    bad.append(("round-trip", str(t)))
-            if images != set(paths):
-                bad.append(("image", n, m))
-            for p in paths:
-                if tree_to_path(path_to_tree(p)) != p:
-                    bad.append(("path round-trip", p))
+            bad += _round_trip(
+                [(("image", n, m), enumerate_positive_root(FI2, n, m), paths)],
+                encode_positive, decode_positive, lambda t: ("round-trip", str(t)))
+            bad += [("path round-trip", p)
+                    for p in paths if tree_to_path(path_to_tree(p)) != p]
     rec.all_equal(
         f"raised trees biject with plus-class paths up to n={top}", bad
     )
@@ -571,18 +539,10 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     )
 
     sq = b["bij_square"]
-    bad = []
-    for n in range(1, sq + 1):
-        for m in range(0, n):
-            trees = enumerate_zero_root(FI2, n, m)
-            images = set()
-            for t in trees:
-                q = encode_zero(t)
-                images.add(q)
-                if decode_zero(q) != t:
-                    bad.append(str(t))
-            if images != set(zero_paths(n, m)):
-                bad.append(("image", n, m))
+    bad = _round_trip(
+        ((("image", n, m), enumerate_zero_root(FI2, n, m), zero_paths(n, m))
+         for n in range(1, sq + 1) for m in range(0, n)),
+        encode_zero, decode_zero, str)
     rec.all_equal(
         f"root-0 trees biject with zero-class paths up to n={sq}", bad
     )
@@ -602,35 +562,22 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
         bad,
     )
 
-    bad = []
-    for n in range(1, top + 1):
-        raised = [
-            t for m in range(1, n + 1) for t in enumerate_positive_root(F22, n, m)
-        ]
-        images = set()
-        for t in raised:
-            cm = to_colored_motzkin(t)
-            images.add(cm)
-            if from_colored_motzkin(cm) != t:
-                bad.append(str(t))
-        if images != set(colored_motzkin_paths(n - 1)):
-            bad.append(("image", n))
+    bad = _round_trip(
+        ((("image", n),
+          [t for m in range(1, n + 1) for t in enumerate_positive_root(F22, n, m)],
+          colored_motzkin_paths(n - 1))
+         for n in range(1, top + 1)),
+        to_colored_motzkin, from_colored_motzkin, str)
     rec.all_equal(
         f"two-colored Motzkin encoding is bijective up to n={top}", bad
     )
 
-    bad = []
-    for total in range(1, top + 1):
-        rotated = set()
-        for n in range(1, total + 1):
-            m = total - n
-            for p in schroder_paths(n, m):
-                q = rotate_to_motzkin(p)
-                rotated.add(q)
-                if rotate_from_motzkin(q) != p:
-                    bad.append(p)
-        if rotated != set(motzkin_paths(total)):
-            bad.append(("union", total))
+    bad = _round_trip(
+        ((("union", total),
+          [p for n in range(1, total + 1) for p in schroder_paths(n, total - n)],
+          motzkin_paths(total))
+         for total in range(1, top + 1)),
+        rotate_to_motzkin, rotate_from_motzkin, lambda p: p)
     rec.all_equal(
         f"rotation carries paths of total degree k onto Motzkin paths, k <= {top}",
         bad,
@@ -665,13 +612,9 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
     spots = b["bij_spot"]
     if spots:
         n = top + 1
-        pool = []
-        for m in (1, 2, 3):
-            pool.extend(enumerate_positive_root(FI2, n, m))
-        bad = []
-        for t in rng.sample(pool, min(spots, len(pool))):
-            if decode_positive(encode_positive(t)) != t:
-                bad.append(str(t))
+        pool = [t for m in (1, 2, 3) for t in enumerate_positive_root(FI2, n, m)]
+        bad = [str(t) for t in rng.sample(pool, min(spots, len(pool)))
+               if decode_positive(encode_positive(t)) != t]
         rec.all_equal(f"random raised trees at n={n} round-trip", bad)
 
 
@@ -941,49 +884,34 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
     rec.all_equal("two-operation structure is the weight-0 specialization", bad)
 
     el = b["dend_embed"]
-    tri_pool = [pt for n in range(1, el) for m in range(1, n + 1)
-                for pt in planar_trees(n, m)]
-    images = [embed_trialgebra(pt) for pt in tri_pool]
-    seen = {next(iter(v.support())) for v in images}
-    rec.check(
-        f"planar embedding is injective on trees with <= {el} leaves",
-        len(seen) == len(tri_pool),
-        f"{len(seen)} images from {len(tri_pool)} trees",
-    )
-
-    bad = []
-    for x, ex in zip(tri_pool, images):
-        for y, ey in zip(tri_pool, images):
-            for op in ("left", "right", "dot"):
-                lhs = embed_trialgebra(dend_op("trialgebra", op, x, y))
-                rhs = rb_dendriform(FI2, op, ex, ey)
-                if lhs != rhs:
-                    bad.append((op, str(x), str(y)))
-    rec.all_equal(
-        f"planar embedding intertwines all three operations, <= {el} leaves", bad
-    )
-
-    bin_embed = [bt for n in range(1, el) for bt in binary_trees(n)]
-    imgs = [embed_dialgebra(bt) for bt in bin_embed]
-    seen = {next(iter(v.support())) for v in imgs}
-    rec.check(
-        f"binary embedding is injective on trees with <= {el} leaves",
-        len(seen) == len(bin_embed),
-        f"{len(seen)} images from {len(bin_embed)} trees",
-    )
-
-    bad = []
-    for x, ex in zip(bin_embed, imgs):
-        for y, ey in zip(bin_embed, imgs):
-            for op in ("left", "right"):
-                lhs = embed_dialgebra(dend_op("dialgebra", op, x, y))
-                rhs = rb_dendriform(F22, op, ex, ey).eval_weight(0)
-                if lhs != rhs:
-                    bad.append((op, str(x), str(y)))
-    rec.all_equal(
-        f"binary embedding intertwines both operations at weight 0, <= {el} leaves",
-        bad,
-    )
+    for kind, algebra, trees, embed, ops, image_op, what in (
+        ("planar", "trialgebra",
+         [pt for n in range(1, el) for m in range(1, n + 1)
+          for pt in planar_trees(n, m)],
+         embed_trialgebra, ("left", "right", "dot"),
+         lambda op, u, v: rb_dendriform(FI2, op, u, v), "all three operations"),
+        ("binary", "dialgebra", [bt for n in range(1, el) for bt in binary_trees(n)],
+         embed_dialgebra, ("left", "right"),
+         lambda op, u, v: rb_dendriform(F22, op, u, v).eval_weight(0),
+         "both operations at weight 0"),
+    ):
+        images = [embed(x) for x in trees]
+        seen = {next(iter(v.support())) for v in images}
+        rec.check(
+            f"{kind} embedding is injective on trees with <= {el} leaves",
+            len(seen) == len(trees),
+            f"{len(seen)} images from {len(trees)} trees",
+        )
+        bad = [
+            (op, str(x), str(y))
+            for x, ex in zip(trees, images)
+            for y, ey in zip(trees, images)
+            for op in ops
+            if embed(dend_op(algebra, op, x, y)) != image_op(op, ex, ey)
+        ]
+        rec.all_equal(
+            f"{kind} embedding intertwines {what}, <= {el} leaves", bad
+        )
 
     dtn = b["dend_dt"]
     bad = []

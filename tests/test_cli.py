@@ -308,11 +308,13 @@ LONG = "7" * 5000  # more digits than int() converts
     ["beta", "--family", "inf,inf", f"1(. {LONG} .)"],
     ["product", "--family", "inf,inf", f"l^{LONG}*1(. 1 .)", "1(. 1 .)"],
     ["word", "normalize", f"x1^{LONG}"],
+    ["word", "normalize", f"x1^{LONG}a"],
 ])
 def test_non_decimal_and_overlong_numbers_are_parse_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert len(err) < 100  # a long token is quoted cut short
     if argv[-1] == f"x1^{LONG}":
         assert err == f"parse error: number too long (at position 3: '{LONG[:12]}')\n"
     elif argv[0] == "word":

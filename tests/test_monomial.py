@@ -77,6 +77,10 @@ def test_parse_word_rejects_bad_text():
     ("x1^ x0", "bad exponent ''", 0),
     ("x0 x1^12a", "bad exponent '12a'", 3),
     ("x1^2^3", "bad exponent '2^3'", 0),
+    pytest.param("x1^" + "9" * 5000 + "a", "bad exponent '999999999999'...", 0,
+                 id="x1^<5000 nines>a-bad exponent cut to 12-0"),
+    pytest.param("y" * 5000, "unknown letter 'yyyyyyyyyyyy'...", 0,
+                 id="<5000 y>-unknown letter cut to 12-0"),
     pytest.param("x0 x1^" + "9" * 5000, "number too long", 6,  # 12 characters quoted
                  id="x0 x1^<5000 nines>-number too long-6"),
 ])

@@ -30,6 +30,16 @@ def test_unknown_suite_and_budget_rejected():
         run_suite("examples", budget="overnight")
 
 
+def test_quick_bounds_never_exceed_desk():
+    quick, desk = verify._BOUNDS["quick"], verify._BOUNDS["desk"]
+    assert quick.keys() == desk.keys() and len(quick) == 34
+    for key, bound in quick.items():
+        if isinstance(bound, tuple):
+            assert all(q <= d for q, d in zip(bound, desk[key])), key
+        else:
+            assert bound <= desk[key], key
+
+
 def test_quick_examples_suite_passes():
     r = run_suite("examples", budget="quick")
     assert r.ok and r.failed == 0 and r.passed > 0
