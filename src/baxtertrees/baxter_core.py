@@ -335,8 +335,6 @@ def graft(family: Family, subtrees: Sequence[Tree], angles: Sequence[int]) -> Tr
             k = max(k - 1, 1)
         else:
             k += 1
-    if len(subtrees) == 1:
-        return subtrees[0]
     return Node(0, subtrees, angles)
 
 

@@ -240,13 +240,12 @@ class BiSeries:
             and (self.N, self.M, self.coeffs) == (other.N, other.M, other.coeffs)
         )
 
-    def compose_series(self, univariate: Callable[[int], int],
-                       constant: int = 0) -> "BiSeries":
+    def compose_series(self, univariate: Callable[[int], int]) -> "BiSeries":
         """Substitute this series (zero constant term required) into a
         univariate series given by its coefficient function."""
         if self.coeff(0, 0) != 0:
             raise DomainError("composition needs a zero constant term")
-        out = BiSeries.const(constant + univariate(0), self.N, self.M)
+        out = BiSeries.const(univariate(0), self.N, self.M)
         power = BiSeries.const(1, self.N, self.M)
         for k in range(1, self.N + self.M + 1):
             power = power * self

@@ -8,6 +8,11 @@ frozen worked examples against recomputation.  The acceptance tests
 call the same suite functions, so the command line and the test suite
 cannot drift apart.
 
+Each suite is a generator of ``(bounds, rng)`` that yields its checks in
+order, each as its name and its list of counterexamples; an empty list
+is a pass.  `run_suite` is the one place where a yielded check becomes
+a `CheckResult`.
+
 Two budgets are provided: ``desk`` runs each suite at its full
 advertised bounds, ``quick`` at reduced bounds for a fast smoke.  The
 seed only feeds the randomized spot checks layered on top of the
@@ -132,18 +137,9 @@ class SuiteResult:
         return self.failed == 0
 
 
-class _Recorder:
-    def __init__(self):
-        self.checks: list[CheckResult] = []
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, ok, detail if not ok else ""))
-
-    def all_equal(self, name: str, mismatches: Sequence) -> None:
-        """Record a sweep that collected counterexamples."""
-        bad = list(mismatches)
-        detail = f"{len(bad)} counterexamples, first: {bad[0]}" if bad else ""
-        self.checks.append(CheckResult(name, not bad, detail))
+# What a suite yields, one check at a time: its name and its list of
+# counterexamples, empty when the check passes.
+Checks = Iterator[tuple[str, list]]
 
 
 def _trees_upto(family: Family, total: int) -> list[Tree]:
@@ -159,7 +155,7 @@ def _trees_upto(family: Family, total: int) -> list[Tree]:
 # dimensions: counts against closed formulas
 # ---------------------------------------------------------------------------
 
-def _suite_dimensions(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_dimensions(b: dict, rng: random.Random) -> Checks:
     npp, mpp = b["dims_forced"]
     bad = [
         (n, m, count_trees(F22, n, m), dim_formula(F22, n, m))
@@ -167,10 +163,7 @@ def _suite_dimensions(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for m in range(0, mpp + 1)
         if count_trees(F22, n, m) != dim_formula(F22, n, m)
     ]
-    rec.all_equal(
-        f"forced-label counts match C(m)*binom(m+1, n-m) on 1..{npp} x 0..{mpp}",
-        bad,
-    )
+    yield f"forced-label counts match C(m)*binom(m+1, n-m) on 1..{npp} x 0..{mpp}", bad
 
     nff, mff = b["dims_free"]
     bad = [
@@ -179,10 +172,7 @@ def _suite_dimensions(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for m in range(0, mff + 1)
         if count_trees(FI2, n, m) != dim_formula(FI2, n, m)
     ]
-    rec.all_equal(
-        f"free-angle counts match C(m)*binom(n+m, n-m) on 1..{nff} x 0..{mff}",
-        bad,
-    )
+    yield f"free-angle counts match C(m)*binom(n+m, n-m) on 1..{nff} x 0..{mff}", bad
 
     k = b["dims_cross"]
     bad = []
@@ -194,39 +184,32 @@ def _suite_dimensions(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 formula = dim_formula(family, n, m)
                 if not (listed == counted == formula):
                     bad.append((family, n, m, listed, counted, formula))
-    rec.all_equal(
-        f"enumeration, grammar count, and formula agree for all families up to {k}",
-        bad,
-    )
+    yield (f"enumeration, grammar count, and formula agree for all families up to {k}",
+           bad)
 
 
 # ---------------------------------------------------------------------------
 # marginals: row, column, and total-degree sums against named sequences
 # ---------------------------------------------------------------------------
 
-def _suite_marginals(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_marginals(b: dict, rng: random.Random) -> Checks:
     r = b["marg_row"]
-    rows = tuple(
-        sum(count_trees(FI2, n, m) for m in range(0, n + 1)) for n in range(1, r + 1)
-    )
-    expect = tuple(sequence("schroder_large", n) for n in range(1, r + 1))
-    rec.check(
-        f"free-angle row sums are the large Schroeder numbers up to n={r}",
-        rows == expect,
-        f"{rows} != {expect}",
-    )
+    bad = []
+    for n in range(1, r + 1):
+        row = sum(count_trees(FI2, n, m) for m in range(0, n + 1))
+        want = sequence("schroder_large", n)
+        if row != want:
+            bad.append((n, row, want))
+    yield f"free-angle row sums are the large Schroeder numbers up to n={r}", bad
 
     k = b["marg_total"]
-    totals = tuple(
-        sum(count_trees(FI2, n, d - n) for n in range(1, d + 1))
-        for d in range(1, k + 1)
-    )
-    expect = tuple(sequence("motzkin", d) for d in range(1, k + 1))
-    rec.check(
-        f"free-angle total-degree counts are the Motzkin numbers up to {k}",
-        totals == expect,
-        f"{totals} != {expect}",
-    )
+    bad = []
+    for d in range(1, k + 1):
+        total = sum(count_trees(FI2, n, d - n) for n in range(1, d + 1))
+        want = sequence("motzkin", d)
+        if total != want:
+            bad.append((d, total, want))
+    yield f"free-angle total-degree counts are the Motzkin numbers up to {k}", bad
 
     c = b["marg_col"]
     bad = []
@@ -234,17 +217,14 @@ def _suite_marginals(b: dict, rec: _Recorder, rng: random.Random) -> None:
         col = sum(count_trees(F22, n, m) for n in range(m, 2 * m + 2))
         if col != 2 ** (m + 1) * catalan(m):
             bad.append((m, col, 2 ** (m + 1) * catalan(m)))
-    rec.all_equal(
-        f"forced-label column sums are 2^(m+1)*C(m) for 1 <= m <= {c}",
-        bad,
-    )
+    yield f"forced-label column sums are 2^(m+1)*C(m) for 1 <= m <= {c}", bad
 
 
 # ---------------------------------------------------------------------------
 # transforms: the binomial-transform relations between the four tables
 # ---------------------------------------------------------------------------
 
-def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_transforms(b: dict, rng: random.Random) -> Checks:
     top = b["transforms"]
     tables = {
         family: {
@@ -272,7 +252,7 @@ def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
             if tables[family][(n, m)] != binomial_transform_table(
                 forced, n, m, in_first=first, in_second=not first)
         ]
-        rec.all_equal(name, bad)
+        yield name, bad
 
     bad = []
     for n in range(1, top + 1):
@@ -283,7 +263,7 @@ def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
             )
             if tables[FII][(n, m)] != both or both != via_free_angle:
                 bad.append((n, m))
-    rec.all_equal("doubly free table is the transform in both variables", bad)
+    yield "doubly free table is the transform in both variables", bad
 
     bad = [
         (family, n, 0)
@@ -291,14 +271,14 @@ def _suite_transforms(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for n in range(1, top + 1)
         if tables[family][(n, 0)] != (1 if family.i == INF or n == 1 else 0)
     ]
-    rec.all_equal("label-free families keep the forced corner-tree row at m=0", bad)
+    yield "label-free families keep the forced corner-tree row at m=0", bad
 
 
 # ---------------------------------------------------------------------------
 # series: generating functions against the enumerated tables
 # ---------------------------------------------------------------------------
 
-def _suite_series(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_series(b: dict, rng: random.Random) -> Checks:
     top = b["series_total"]
     bad = []
     for family in FAMILIES:
@@ -308,18 +288,14 @@ def _suite_series(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 want = count_trees(family, n, m) if n >= 1 else 0
                 if gf.coeff(n, m) != want:
                     bad.append((family, n, m, gf.coeff(n, m), want))
-    rec.all_equal(
-        f"all four series match enumeration to total degree {top}", bad
-    )
+    yield f"all four series match enumeration to total degree {top}", bad
 
-    gf = series_coeffs(FI2, top, top)
-    diag = gf.diagonal()[1:]
-    expect = tuple(sequence("motzkin", d) for d in range(1, len(diag) + 1))
-    rec.check(
-        "free-angle series sums to the Motzkin numbers along total degree",
-        diag == expect,
-        f"{diag} != {expect}",
-    )
+    bad = []
+    for d, total in enumerate(series_coeffs(FI2, top, top).diagonal()[1:], start=1):
+        want = sequence("motzkin", d)
+        if total != want:
+            bad.append((d, total, want))
+    yield "free-angle series sums to the Motzkin numbers along total degree", bad
 
     # Substituting x/(1-x) into the collapsed monomial series gives the
     # free one, order by order.
@@ -334,9 +310,7 @@ def _suite_series(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for m in range(0, s - n + 1)
         if shifted.coeff(n, m) != free.coeff(n, m)
     ]
-    rec.all_equal(
-        f"monomial series identity under x -> x/(1-x) to total degree {s}", bad
-    )
+    yield f"monomial series identity under x -> x/(1-x) to total degree {s}", bad
 
     bad = [
         (n, m)
@@ -345,7 +319,7 @@ def _suite_series(b: dict, rec: _Recorder, rng: random.Random) -> None:
         if free.coeff(n, m) != monomial_dims("infinity", n, m)
         or collapsed.coeff(n, m) != monomial_dims("two", n, m)
     ]
-    rec.all_equal("monomial series match their closed-form dimensions", bad)
+    yield "monomial series match their closed-form dimensions", bad
 
     # The univariate transform has the classical generating-function
     # form 1/(1-x) * A(x/(1-x)); spot-check it on random sequences.
@@ -359,7 +333,7 @@ def _suite_series(b: dict, rec: _Recorder, rng: random.Random) -> None:
         got = tuple(image.coeff(n, 0) for n in range(1, k + 1))
         if got != binomial_transform(seq):
             bad.append(seq)
-    rec.all_equal("transform of random sequences matches its series form", bad)
+    yield "transform of random sequences matches its series form", bad
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +350,14 @@ def _operator_law(family: Family, pairs: Iterable) -> list:
     ]
 
 
-def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_identities(b: dict, rng: random.Random) -> Checks:
     p = b["ident_pair"]
     bad = []
     for family in FAMILIES:
         pool = _trees_upto(family, p)
         bad += _operator_law(family, ((a, c) for a in pool for c in pool))
-    rec.all_equal(
-        f"operator law beta(a)beta(b) = beta(a*b) on pairs of total degree <= {p}",
-        bad,
-    )
+    yield (f"operator law beta(a)beta(b) = beta(a*b) on pairs of total degree <= {p}",
+           bad)
 
     q = b["ident_assoc"]
     bad = []
@@ -399,9 +371,7 @@ def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
                     rhs = circle_lc(family, LinComb.of(a), circle(family, c, d))
                     if lhs != rhs:
                         bad.append((family, str(a), str(c), str(d)))
-    rec.all_equal(
-        f"multiplication is associative on triples of total degree <= {q}", bad
-    )
+    yield f"multiplication is associative on triples of total degree <= {q}", bad
 
     r = b["ident_quasi"]
     bad = []
@@ -410,10 +380,7 @@ def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
             twice = beta_lc(family, beta(family, t))
             if twice != beta(family, t).scale(-LAMBDA):
                 bad.append((family, str(t)))
-    rec.all_equal(
-        f"operator is quasi-idempotent in the collapsed-label families up to {r}",
-        bad,
-    )
+    yield f"operator is quasi-idempotent in the collapsed-label families up to {r}", bad
 
     bad = []
     for family in (F22, F2I):
@@ -422,7 +389,7 @@ def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
             bad.append((family, "g*g"))
         if circle_power(family, g, 3) != LinComb.of(g):
             bad.append((family, "g*g*g"))
-    rec.all_equal("generator is idempotent in the saturating-angle families", bad)
+    yield "generator is idempotent in the saturating-angle families", bad
 
     extra = b["ident_spot"]
     if extra:
@@ -431,14 +398,14 @@ def _suite_identities(b: dict, rec: _Recorder, rng: random.Random) -> None:
             pool = [t for n in range(1, 5) for t in enumerate_trees(family, n, 4 - n)]
             bad += _operator_law(
                 family, ((rng.choice(pool), rng.choice(pool)) for _ in range(extra)))
-        rec.all_equal("operator law on random pairs of total degree 4", bad)
+        yield "operator law on random pairs of total degree 4", bad
 
 
 # ---------------------------------------------------------------------------
 # examples: frozen worked displays
 # ---------------------------------------------------------------------------
 
-def _suite_examples(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_examples(b: dict, rng: random.Random) -> Checks:
     t, lc = parse_tree, tree_lincomb_parser
     raised = circle(FI2, t("1(. 2 .)"), t("1(. 3 .)"))
     raised_text = "1(1(. 2 .) 3 .) + 1(. 2 1(. 3 .)) + l*1(. 5 .)"
@@ -474,7 +441,7 @@ def _suite_examples(b: dict, rec: _Recorder, rng: random.Random) -> None:
          lc("0(. 2 .)")),
     ]
     for name, got, want in cases:
-        rec.check(name, got == want, f"got {got}, expected {want}")
+        yield name, [] if got == want else [f"got {got}, expected {want}"]
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +466,7 @@ def _round_trip(classes: Iterable, encode: Callable, decode: Callable,
     return bad
 
 
-def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_bijections(b: dict, rng: random.Random) -> Checks:
     top = b["bij_n"]
 
     bad = [
@@ -509,7 +476,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for t in enumerate_positive_root(FI2, n, m)
         if restore_angles(strip_angles(t)) != t
     ]
-    rec.all_equal(f"strip/restore is the identity on raised trees up to n={top}", bad)
+    yield f"strip/restore is the identity on raised trees up to n={top}", bad
 
     bad = []
     for n in range(1, top + 1):  # a class at a time: its path round trip follows
@@ -520,9 +487,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 encode_positive, decode_positive, lambda t: ("round-trip", str(t)))
             bad += [("path round-trip", p)
                     for p in paths if tree_to_path(path_to_tree(p)) != p]
-    rec.all_equal(
-        f"raised trees biject with plus-class paths up to n={top}", bad
-    )
+    yield f"raised trees biject with plus-class paths up to n={top}", bad
 
     bad = []
     for n in range(1, top + 1):
@@ -533,19 +498,15 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
             for q in zero_paths(n, m):
                 if to_zero_class(to_plus_class(q)) != q:
                     bad.append(("zero", q))
-    rec.all_equal(
-        f"diagonal trade between plus and zero classes is bijective up to n={top}",
-        bad,
-    )
+    yield (f"diagonal trade between plus and zero classes is bijective up to n={top}",
+           bad)
 
     sq = b["bij_square"]
     bad = _round_trip(
         ((("image", n, m), enumerate_zero_root(FI2, n, m), zero_paths(n, m))
          for n in range(1, sq + 1) for m in range(0, n)),
         encode_zero, decode_zero, str)
-    rec.all_equal(
-        f"root-0 trees biject with zero-class paths up to n={sq}", bad
-    )
+    yield f"root-0 trees biject with zero-class paths up to n={sq}", bad
 
     bad = []
     for n in range(1, top + 1):
@@ -557,10 +518,8 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
             zero_im = {encode_zero(t) for t in enumerate_zero_root(F22, n, m)}
             if zero_im != set(restricted_zero_paths(n, m)):
                 bad.append(("zero", n, m))
-    rec.all_equal(
-        f"forced-label trees land exactly on the restricted classes up to n={top}",
-        bad,
-    )
+    yield (f"forced-label trees land exactly on the restricted classes up to n={top}",
+           bad)
 
     bad = _round_trip(
         ((("image", n),
@@ -568,9 +527,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
           colored_motzkin_paths(n - 1))
          for n in range(1, top + 1)),
         to_colored_motzkin, from_colored_motzkin, str)
-    rec.all_equal(
-        f"two-colored Motzkin encoding is bijective up to n={top}", bad
-    )
+    yield f"two-colored Motzkin encoding is bijective up to n={top}", bad
 
     bad = _round_trip(
         ((("union", total),
@@ -578,36 +535,27 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
           motzkin_paths(total))
          for total in range(1, top + 1)),
         rotate_to_motzkin, rotate_from_motzkin, lambda p: p)
-    rec.all_equal(
-        f"rotation carries paths of total degree k onto Motzkin paths, k <= {top}",
-        bad,
-    )
+    yield (f"rotation carries paths of total degree k onto Motzkin paths, k <= {top}",
+           bad)
 
     card = b["bij_card"]
-    small = tuple(sequence("schroder_small", n) for n in range(1, card + 1))
-    plus_counts = tuple(
-        sum(len(plus_paths(n, m)) for m in range(1, n + 1))
-        for n in range(1, card + 1)
-    )
-    zero_counts = tuple(
-        sum(len(zero_paths(n, m)) for m in range(0, n))
-        for n in range(1, card + 1)
-    )
-    rec.check(
-        f"plus and zero classes are counted by small Schroeder numbers up to {card}",
-        plus_counts == small and zero_counts == small,
-        f"{plus_counts} / {zero_counts} != {small}",
-    )
+    bad = []
+    for n in range(1, card + 1):
+        plus = sum(len(plus_paths(n, m)) for m in range(1, n + 1))
+        zero = sum(len(zero_paths(n, m)) for m in range(0, n))
+        small = sequence("schroder_small", n)
+        if plus != small or zero != small:
+            bad.append((n, plus, zero, small))
+    yield (f"plus and zero classes are counted by small Schroeder numbers up to {card}",
+           bad)
 
     doubling = []
     for n in range(1, card + 1):
         row = sum(count_trees(F22, n, m) for m in range(0, n + 1))
         if row != 2 * len(colored_motzkin_paths(n - 1)):
             doubling.append(n)
-    rec.all_equal(
-        f"forced-label row sums double the two-colored Motzkin counts up to {card}",
-        doubling,
-    )
+    yield (f"forced-label row sums double the two-colored Motzkin counts up to {card}",
+           doubling)
 
     spots = b["bij_spot"]
     if spots:
@@ -615,7 +563,7 @@ def _suite_bijections(b: dict, rec: _Recorder, rng: random.Random) -> None:
         pool = [t for m in (1, 2, 3) for t in enumerate_positive_root(FI2, n, m)]
         bad = [str(t) for t in rng.sample(pool, min(spots, len(pool)))
                if decode_positive(encode_positive(t)) != t]
-        rec.all_equal(f"random raised trees at n={n} round-trip", bad)
+        yield f"random raised trees at n={n} round-trip", bad
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +575,14 @@ _PROJECTIONS = (
 )
 
 
-def _suite_morphisms(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_morphisms(b: dict, rng: random.Random) -> Checks:
     fx = b["morph_fix"]
     bad = []
     for src, dst in _PROJECTIONS:
         for t in _trees_upto(dst, fx):
             if morphism(src, dst, t) != LinComb.of(t):
                 bad.append((src, dst, str(t)))
-    rec.all_equal(
-        f"projections fix every target basis tree up to total degree {fx}", bad
-    )
+    yield f"projections fix every target basis tree up to total degree {fx}", bad
 
     single = b["morph_single"]
     bad = []
@@ -646,9 +592,7 @@ def _suite_morphisms(b: dict, rec: _Recorder, rng: random.Random) -> None:
             rhs = beta_lc(dst, morphism(src, dst, t))
             if lhs != rhs:
                 bad.append((src, dst, str(t)))
-    rec.all_equal(
-        f"projections commute with the operator up to total degree {single}", bad
-    )
+    yield f"projections commute with the operator up to total degree {single}", bad
 
     pair = b["morph_pair"]
     bad = []
@@ -662,9 +606,7 @@ def _suite_morphisms(b: dict, rec: _Recorder, rng: random.Random) -> None:
                     bad.append((src, dst, "mul", str(a), str(c)))
                 if morphism_lc(src, dst, star(src, a, c)) != star_lc(dst, fa, fc):
                     bad.append((src, dst, "star", str(a), str(c)))
-    rec.all_equal(
-        f"projections are algebra maps on pairs of total degree <= {pair}", bad
-    )
+    yield f"projections are algebra maps on pairs of total degree <= {pair}", bad
 
     dia = b["morph_diamond"]
     bad = []
@@ -674,9 +616,7 @@ def _suite_morphisms(b: dict, rec: _Recorder, rng: random.Random) -> None:
         via_angle = morphism_lc(FI2, F22, morphism(FII, FI2, t))
         if not (direct == via_label == via_angle):
             bad.append(str(t))
-    rec.all_equal(
-        f"the two projection routes agree up to total degree {dia}", bad
-    )
+    yield f"the two projection routes agree up to total degree {dia}", bad
 
     dc = b["morph_decomp"]
     bad = []
@@ -685,26 +625,21 @@ def _suite_morphisms(b: dict, rec: _Recorder, rng: random.Random) -> None:
             power, pieces, angles = decompose(t)
             if recompose(family, power, pieces, angles) != LinComb.of(t):
                 bad.append((family, str(t)))
-    rec.all_equal(
-        f"canonical factorization recomposes up to total degree {dc}", bad
-    )
+    yield f"canonical factorization recomposes up to total degree {dc}", bad
 
 
 # ---------------------------------------------------------------------------
 # monomial: the word realizations
 # ---------------------------------------------------------------------------
 
-def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_monomial(b: dict, rng: random.Random) -> Checks:
     top = b["mono_pi"]
     bad = []
     for variant, family in (("infinity", FI2), ("two", F22)):
         for t in _trees_upto(family, top):
             if pi_word(variant, t) != pi_word_recursive(variant, t):
                 bad.append((variant, str(t)))
-    rec.all_equal(
-        f"word formula agrees with the recursive image up to total degree {top}",
-        bad,
-    )
+    yield f"word formula agrees with the recursive image up to total degree {top}", bad
 
     pt = b["mono_pairs"]
     pool = _trees_upto(FI2, pt)
@@ -714,10 +649,7 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for s in pool
         if tilde_equiv(t, s) != (pi_word("infinity", t) == pi_word("infinity", s))
     ]
-    rec.all_equal(
-        f"structural equivalence matches word equality up to total degree {pt}",
-        bad,
-    )
+    yield f"structural equivalence matches word equality up to total degree {pt}", bad
 
     wf = b["mono_free"]
     bad = []
@@ -730,9 +662,7 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 bad.append((n, m))
         if row != 2 ** n:
             bad.append(("row", n))
-    rec.all_equal(
-        f"free word counts are binom(n+1, 2m) with rows 2^n up to n={wf}", bad
-    )
+    yield f"free word counts are binom(n+1, 2m) with rows 2^n up to n={wf}", bad
 
     wc = b["mono_collapsed"]
     bad = [
@@ -741,9 +671,7 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for m in range(0, n + 2)
         if len(enumerate_words("two", n, m)) != monomial_dims("two", n, m)
     ]
-    rec.all_equal(
-        f"collapsed word counts match the piecewise dimensions up to n={wc}", bad
-    )
+    yield f"collapsed word counts match the piecewise dimensions up to n={wc}", bad
 
     mm = b["mono_morph"]
     bad = []
@@ -759,9 +687,7 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 prod = pi_map(variant, circle(family, a, c).eval_weight(-1))
                 if prod != LinComb.of(concat_words(wa, wc_)):
                     bad.append((variant, "mul", str(a), str(c)))
-    rec.all_equal(
-        f"word image is an operator-algebra map at weight -1 up to {mm}", bad
-    )
+    yield f"word image is an operator-algebra map at weight -1 up to {mm}", bad
 
     bad = []
     for t in _trees_upto(FI2, mm + 1):
@@ -769,7 +695,7 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
         rhs = pi_map("two", morphism(FI2, F22, t).eval_weight(-1))
         if lhs != rhs:
             bad.append(str(t))
-    rec.all_equal("word quotient square commutes with the tree projection", bad)
+    yield "word quotient square commutes with the tree projection", bad
 
     spots = b["mono_spot"]
     if spots:
@@ -783,7 +709,7 @@ def _suite_monomial(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 word_quotient(u), word_quotient(v)
             ):
                 bad.append((str(u), str(v)))
-        rec.all_equal("collapsing random words is multiplicative", bad)
+        yield "collapsing random words is multiplicative", bad
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +753,7 @@ def _axiom_failures(ops: Sequence[Callable], triples: Iterator,
     return bad
 
 
-def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
+def _suite_dendriform(b: dict, rng: random.Random) -> Checks:
     lv = b["dend_leaves"]
     pool = [pt for n in range(1, lv) for m in range(1, n + 1)
             for pt in planar_trees(n, m)]
@@ -842,9 +768,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
         ((x, y, z) for x in pool for y in pool for z in pool),
         _AXIOMS,
     )
-    rec.all_equal(
-        f"seven axioms hold symbolically on trees with <= {lv} leaves", bad
-    )
+    yield f"seven axioms hold symbolically on trees with <= {lv} leaves", bad
 
     rb = b["dend_rb"]
     bad = []
@@ -858,9 +782,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 _AXIOMS,
             )
         )
-    rec.all_equal(
-        f"induced splittings satisfy the axioms up to total degree {rb}", bad
-    )
+    yield f"induced splittings satisfy the axioms up to total degree {rb}", bad
 
     bin_pool = [bt for n in range(1, lv) for bt in binary_trees(n)]
 
@@ -869,9 +791,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
         ((x, y, z) for x in bin_pool for y in bin_pool for z in bin_pool),
         _AXIOMS[:3],
     )
-    rec.all_equal(
-        f"two-operation axioms hold on binary trees with <= {lv} leaves", bad
-    )
+    yield f"two-operation axioms hold on binary trees with <= {lv} leaves", bad
 
     bad = []
     for x in bin_pool:
@@ -881,7 +801,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
                 via = dend_op("trialgebra", op, x, y).eval_weight(0)
                 if plain != via:
                     bad.append((op, str(x), str(y)))
-    rec.all_equal("two-operation structure is the weight-0 specialization", bad)
+    yield "two-operation structure is the weight-0 specialization", bad
 
     el = b["dend_embed"]
     for kind, algebra, trees, embed, ops, image_op, what in (
@@ -897,11 +817,9 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
     ):
         images = [embed(x) for x in trees]
         seen = {next(iter(v.support())) for v in images}
-        rec.check(
-            f"{kind} embedding is injective on trees with <= {el} leaves",
-            len(seen) == len(trees),
-            f"{len(seen)} images from {len(trees)} trees",
-        )
+        yield (f"{kind} embedding is injective on trees with <= {el} leaves",
+               [] if len(seen) == len(trees)
+               else [f"{len(seen)} images from {len(trees)} trees"])
         bad = [
             (op, str(x), str(y))
             for x, ex in zip(trees, images)
@@ -909,9 +827,7 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
             for op in ops
             if embed(dend_op(algebra, op, x, y)) != image_op(op, ex, ey)
         ]
-        rec.all_equal(
-            f"{kind} embedding intertwines {what}, <= {el} leaves", bad
-        )
+        yield f"{kind} embedding intertwines {what}, <= {el} leaves", bad
 
     dtn = b["dend_dt"]
     bad = []
@@ -922,10 +838,8 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
         for m in range(0, n + 1):
             if dim_formula(FI2, n, m) != dt_dim(n, m) + dt_dim(n, m + 1):
                 bad.append(("sum", n, m))
-    rec.all_equal(
-        f"planar-tree counts and their pairwise sums match dimensions up to {dtn}",
-        bad,
-    )
+    yield (f"planar-tree counts and their pairwise sums match dimensions up to {dtn}",
+           bad)
 
     cd = b["dend_card"]
     bad = []
@@ -938,13 +852,11 @@ def _suite_dendriform(b: dict, rec: _Recorder, rng: random.Random) -> None:
             bad.append((n, len(images), dim))
         if any(bidegree(t) != (n, n - 1) for t in images):
             bad.append(("degree", n))
-    rec.all_equal(
-        f"embedded binary trees realize C(n) inside dimension n*C(n-1) up to {cd}",
-        bad,
-    )
+    yield (f"embedded binary trees realize C(n) inside dimension n*C(n-1) up to {cd}",
+           bad)
 
 
-SUITES: dict[str, Callable[[dict, _Recorder, random.Random], None]] = {
+SUITES: dict[str, Callable[[dict, random.Random], Checks]] = {
     "dimensions": _suite_dimensions,
     "marginals": _suite_marginals,
     "transforms": _suite_transforms,
@@ -958,15 +870,28 @@ SUITES: dict[str, Callable[[dict, _Recorder, random.Random], None]] = {
 }
 
 
+@_collector_paused
+def _record(checks: list, suite: Callable[..., Checks], args: tuple) -> None:
+    """Run ``suite(*args)`` to the end, appending a `CheckResult` to
+    ``checks`` as each check is yielded.  A failed check's detail counts
+    its counterexamples and shows the first.
+
+    The pause wraps the loop, not the call: calling a generator function
+    runs none of its body."""
+    for name, bad in suite(*args):
+        detail = f"{len(bad)} counterexamples, first: {bad[0]}" if bad else ""
+        checks.append(CheckResult(name, not bad, detail))
+
+
 def run_suite(name: str, budget: str = "desk", seed: int = DEFAULT_SEED) -> SuiteResult:
     """Run one named suite and collect its check results.
 
     The cyclic garbage collector is paused while the suite runs and then
-    put back as it was (`_collector_paused`).  A suite that raises keeps
-    the checks it recorded and gains one failed check, named after the
-    suite, that carries the exception's type, text and innermost frame:
-    a library fault then fails a check, as any other wrong answer does,
-    and the other suites still run and report."""
+    put back as it was (`_record`).  A suite that raises keeps the checks
+    it yielded and gains one failed check, named after the suite, that
+    carries the exception's type, text and innermost frame: a library
+    fault then fails a check, as any other wrong answer does, and the
+    other suites still run and report."""
     if name not in SUITES:
         raise DomainError(
             f"unknown suite {name!r}; available: {', '.join(SUITES)}"
@@ -975,11 +900,11 @@ def run_suite(name: str, budget: str = "desk", seed: int = DEFAULT_SEED) -> Suit
         raise DomainError(
             f"unknown budget {budget!r}; available: {', '.join(_BOUNDS)}"
         )
-    rec = _Recorder()
+    checks: list[CheckResult] = []
     rng = random.Random(seed)
     start = time.perf_counter()
     try:
-        _collector_paused(SUITES[name])(_BOUNDS[budget], rec, rng)
+        _record(checks, SUITES[name], (_BOUNDS[budget], rng))
     except Exception as exc:
         # The innermost frame is walked to by hand: importing `traceback`
         # (and with it `tokenize`) added about 0.4 MB to every run's peak.
@@ -987,11 +912,12 @@ def run_suite(name: str, budget: str = "desk", seed: int = DEFAULT_SEED) -> Suit
         while tb.tb_next is not None:
             tb = tb.tb_next
         code = tb.tb_frame.f_code
-        rec.check(f"{name} suite runs to the end", False,
-                  f"{type(exc).__name__}: {exc} (in {code.co_name}, "
-                  f"{os.path.basename(code.co_filename)}:{tb.tb_lineno})")
+        checks.append(CheckResult(
+            f"{name} suite runs to the end", False,
+            f"{type(exc).__name__}: {exc} (in {code.co_name}, "
+            f"{os.path.basename(code.co_filename)}:{tb.tb_lineno})"))
     elapsed = time.perf_counter() - start
-    return SuiteResult(name, rec.checks, elapsed)
+    return SuiteResult(name, checks, elapsed)
 
 
 def run_suites(

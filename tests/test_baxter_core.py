@@ -283,6 +283,11 @@ def test_morphism_collapses_node_labels_to_weights():
     assert got == LinComb.of(t("1(. 1 .)"), -LAMBDA)
 
 
+def test_every_projection_fixes_the_unit_tree():
+    for src, dst in ((FII, F2I), (FII, FI2), (FII, F22), (F2I, F22), (FI2, F22)):
+        assert morphism(src, dst, LEAF) == LinComb.of(LEAF)
+
+
 def test_weight_powers_match_repeated_multiplication():
     # (-l)^k is built as one monomial; it must equal the power.
     base = t("0(. 1 .)")

@@ -160,6 +160,13 @@ def test_projection_intertwines_operator_at_weight_minus_one():
         assert img == LinComb(beta_word(pi_word("infinity", tree)))
 
 
+def test_projection_of_a_bare_tree_is_that_of_its_combination():
+    tree = t("0(1(. 1 .) 1 1(. 1 .))")
+    for variant in ("infinity", "two"):
+        assert pi_map(variant, tree) == pi_map(variant, LinComb.of(tree))
+        assert pi_map(variant, tree) == LinComb(pi_word(variant, tree))
+
+
 def test_projection_rejects_unit_tree():
     from baxtertrees.trees import LEAF
 

@@ -23,6 +23,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PLANAR_EMBEDDING = "planar embedding intertwines all three operations, <= 4 leaves"
 _OPERATOR_LAW = "operator law beta(a)beta(b) = beta(a*b) on pairs of total degree <= 2"
+_SCHRODER = ("counting.py", "return schroder_large(n - 1) + sum(",
+             "return schroder_large(n - 2) + sum(")
+_MOTZKIN = (
+    "counting.py",
+    "return motzkin(n - 1) + sum(motzkin(k) * motzkin(n - 2 - k) for k in range(n - 1))",
+    "return motzkin(n - 1) + sum(motzkin(k) * motzkin(n - 2 - k) for k in range(n - 2))",
+)
 
 # name -> (module, original text, mutated text, suite, checks that fail)
 MUTANTS = {
@@ -85,6 +92,22 @@ MUTANTS = {
          "raised product renders verbatim",
          "grafting merges an interior leaf into its flanking angles",
          "induced middle operation on generators adds angles"),
+    ),
+    "schroder_shift_rows": _SCHRODER + (
+        "marginals",
+        ("free-angle row sums are the large Schroeder numbers up to n=4",),
+    ),
+    "schroder_shift_classes": _SCHRODER + (
+        "bijections",
+        ("plus and zero classes are counted by small Schroeder numbers up to 5",),
+    ),
+    "motzkin_short_totals": _MOTZKIN + (
+        "marginals",
+        ("free-angle total-degree counts are the Motzkin numbers up to 4",),
+    ),
+    "motzkin_short_series": _MOTZKIN + (
+        "series",
+        ("free-angle series sums to the Motzkin numbers along total degree",),
     ),
 }
 

@@ -66,12 +66,14 @@ def test_suite_leaves_no_cyclic_garbage(name):
 def test_run_suite_pauses_the_collector_and_puts_it_back(monkeypatch, enabled):
     seen = []
 
-    def suite(bounds, rec, rng):
+    def suite(bounds, rng):
         seen.append(gc.isenabled())
+        yield from ()
 
-    def failing(bounds, rec, rng):
+    def failing(bounds, rng):
         seen.append(gc.isenabled())
         raise RuntimeError("suite failed")
+        yield
 
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -90,11 +92,22 @@ def test_run_suite_pauses_the_collector_and_puts_it_back(monkeypatch, enabled):
         "RuntimeError: suite failed"]
 
 
+def test_each_yielded_check_is_recorded_in_order(monkeypatch):
+    def stub(bounds, rng):
+        yield "x", []
+        yield "y", [3, 4]
+
+    monkeypatch.setitem(SUITES, "examples", stub)
+    result = run_suite("examples", budget="quick")
+    assert [(c.name, c.ok, c.detail) for c in result.checks] == [
+        ("x", True, ""), ("y", False, "2 counterexamples, first: 3")]
+
+
 def test_a_suite_that_raises_fails_one_check_and_the_run_goes_on(monkeypatch, capsys):
     # A library fault inside a suite is a failed check (exit 1), not bad
     # input (exit 4), and it hides no other suite's results.
-    def stub(bounds, rec, rng):
-        rec.check("a check before the fault", True)
+    def stub(bounds, rng):
+        yield "a check before the fault", []
         raise DomainError("dialgebra basis elements must be binary trees")
 
     monkeypatch.setattr(verify, "SUITES", {"stub": stub, "examples": SUITES["examples"]})
