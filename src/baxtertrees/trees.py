@@ -35,7 +35,8 @@ label one higher (`raised`), and each family is one object
 
 from __future__ import annotations
 
-import weakref
+import gc
+import sys
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
@@ -62,48 +63,98 @@ INF = float("inf")
 # ---------------------------------------------------------------------------
 #
 # Both tree kinds are hash-consed: building a tree whose parts match a
-# live tree returns that tree, so equal trees are one object and compare
-# and hash by identity.  Each intern table maps a tree's parts to a weak
-# reference, so a tree leaves its table when the last reference to it
-# goes; the tables cache no results.  Code that already holds a tree's
-# parts as tuples builds it through `intern_node` or `intern_planar`,
-# skipping the class call and its conversion to tuples.
+# tree in its table returns that tree, so equal trees are one object and
+# compare and hash by identity.  Each intern table maps a tree's parts to
+# the tree itself and caches no results.  Code that already holds a
+# tree's parts as tuples builds it through `intern_node` or
+# `intern_planar`, skipping the class call and its conversion to tuples.
+#
+# A table holds its trees, so a tree nothing else holds stays in its
+# table until a sweep (`_sweep`) drops it.  A sweep runs when a table
+# grows past its limit, and after every full collection, so
+# `gc.collect()` frees every tree that nothing holds.  Each sweep sets
+# the limit to twice the table's size, and at least `_SWEEP_FLOOR`, so
+# memory stays bounded while the collector is paused and sweeping costs
+# amortized constant time per new tree.  A sweep drops only trees nothing
+# else holds, so a tree that survives is never rebuilt as a second
+# object.
 #
 # A tree may hold one derived tree: a decorated tree its root-raised
 # image (`raised`, in ``_raised``), a planar tree its decorated image
 # (``_image``).  Each such reference points from a tree to one that
 # never points back (a raised image has a higher root label; a decorated
 # tree holds no planar tree), so no reference cycle forms, and the
-# derived tree dies with its base unless something else holds it.
+# derived tree goes with its base unless something else holds it.
 
-# Decorated trees: (label, children, angles) -> weak reference to the tree.
-_DECORATED: dict = {}
-# Planar trees: children tuple -> weak reference to the tree.
-_PLANAR: dict = {}
+# The smallest limit, and the limit a sweep sets as a multiple of the
+# size it leaves.  Lowering the floor cut the peak memory of the desk
+# `verify` run down to 1 << 14, and little more below it, while the
+# total time spent sweeping stayed level.
+_SWEEP_FLOOR = 1 << 14
+_SWEEP_GROWTH = 2
 
-
-class _InternRef(weakref.ref):
-    """A weak reference to an interned tree that removes the tree's table
-    entry when the tree dies, unless the entry already names a newer tree
-    with the same parts."""
-
-    __slots__ = ("table", "key")
-
-
-def _forget(ref: _InternRef) -> None:
-    if ref.table.get(ref.key) is ref:
-        del ref.table[ref.key]
+# A tree's reference count during a sweep when only its table holds it:
+# the table's reference, the sweep's name for the tree and the one
+# `sys.getrefcount` takes for its argument.
+_ONLY_THE_TABLE = 3
 
 
-def _intern(cls, table: dict, key: tuple):
+class _Table(dict):
+    """An intern table: a tree's parts -> the tree.  ``limit`` is the
+    size past which the next new tree starts a sweep."""
+
+    __slots__ = ("limit",)
+
+    def __init__(self):
+        super().__init__()
+        self.limit = _SWEEP_FLOOR
+
+
+# Decorated trees: (label, children, angles) -> the tree.
+_DECORATED = _Table()
+# Planar trees: children tuple -> the tree.
+_PLANAR = _Table()
+
+
+def _sweep(table: _Table) -> None:
+    """Drop every tree that only ``table`` holds, in one pass, and set
+    the table's next limit.
+
+    The pass takes the trees newest first, each leaving the snapshot as
+    it is taken: a tree's children are older than the tree, so dropping
+    a tree frees its children before the pass reaches them.  A raised
+    image can be newer than its base, so dropping a decorated tree
+    follows its ``_raised`` chain at once.  A collection that starts
+    during a sweep sweeps again, but drops nothing the snapshot holds."""
+    snapshot = list(table.values())
+    while snapshot:
+        t = snapshot.pop()
+        while sys.getrefcount(t) == _ONLY_THE_TABLE:
+            del table[t._parts()]
+            t = getattr(t, "_raised", None)
+    table.limit = max(_SWEEP_FLOOR, _SWEEP_GROWTH * len(table))
+
+
+def _sweep_after_full_collection(phase: str, info: dict) -> None:
+    # Planar trees first: each holds its decorated image.
+    if phase == "stop" and info["generation"] == 2:
+        _sweep(_PLANAR)
+        _sweep(_DECORATED)
+
+
+gc.callbacks.append(_sweep_after_full_collection)
+
+
+def _intern(cls, table: _Table, key: tuple):
     """A new ``cls`` entered in ``table`` under ``key``: the one place a
-    tree is made, reached by a constructor whose lookup found no live
-    tree.  ``cls._fill`` checks the key and sets the new tree's fields; a
-    key it rejects enters nothing."""
+    tree is made, reached by a constructor whose lookup found no tree.
+    ``cls._fill`` checks the key and sets the new tree's fields; a key it
+    rejects enters nothing.  A table grown past its limit is swept."""
     t = object.__new__(cls)
     t._fill(key)
-    ref = table[key] = _InternRef(t, _forget)
-    ref.table, ref.key = table, key
+    table[key] = t
+    if len(table) > table.limit:
+        _sweep(table)
     return t
 
 
@@ -152,7 +203,7 @@ class Node:
     object and key memo tables and linear combinations by identity.
     """
 
-    __slots__ = ("label", "children", "angles", "_key", "_raised", "__weakref__")
+    __slots__ = ("label", "children", "angles", "_key", "_raised")
 
     is_leaf = False
 
@@ -172,6 +223,10 @@ class Node:
         self.angles = angles
         self._key = None
         self._raised = None
+
+    def _parts(self) -> tuple:
+        """The key `_fill` was given: the node's entry in its table."""
+        return (self.label, self.children, self.angles)
 
     def sort_key(self):
         """Canonical total-order key, arranged so sorted terms display
@@ -207,12 +262,12 @@ Tree = Union[Leaf, Node]
 
 
 def intern_node(label: int, children: tuple, angles: tuple) -> Node:
-    """The node with these parts, given as tuples: the live one if there
-    is one, else a new one.  Every decorated tree is built here; `Node`
-    converts its arguments to tuples and calls it."""
+    """The node with these parts, given as tuples: the one in the table
+    if there is one, else a new one.  Every decorated tree is built here;
+    `Node` converts its arguments to tuples and calls it."""
     key = (label, children, angles)
-    ref = _DECORATED.get(key)
-    if ref is not None and (t := ref()) is not None:
+    t = _DECORATED.get(key)
+    if t is not None:
         return t
     return _intern(Node, _DECORATED, key)
 
@@ -226,7 +281,9 @@ def with_root_label(t: Node, label: int) -> Node:
 
 def raised(t: Node) -> Node:
     """The same tree with its root label one higher, built once and then
-    kept in ``t._raised`` for as long as ``t`` lives."""
+    kept in ``t._raised``: the image stays in its table at least as long
+    as ``t`` does, and a sweep drops it with ``t`` unless something else
+    holds it."""
     r = t._raised
     if r is None:
         r = t._raised = intern_node(t.label + 1, t.children, t.angles)
@@ -555,11 +612,12 @@ class PTree:
     trees are hash-consed like decorated ones (see `_intern`).
 
     ``_image`` holds the tree's decorated image with root label 1 once
-    `paths.restore_angles` has built it, so the image lives exactly as
-    long as the planar tree.
+    `paths.restore_angles` has built it, so the image stays in its table
+    at least as long as the planar tree does, and a sweep drops it with
+    the planar tree unless something else holds it.
     """
 
-    __slots__ = ("children", "_key", "_image", "__weakref__")
+    __slots__ = ("children", "_key", "_image")
 
     is_leaf = False
 
@@ -573,6 +631,10 @@ class PTree:
         self.children = children
         self._key = None
         self._image = None
+
+    def _parts(self) -> tuple:
+        """The key `_fill` was given: the tree's entry in its table."""
+        return self.children
 
     def sort_key(self):
         if self._key is None:
@@ -602,11 +664,11 @@ PlanarTree = Union[Leaf, PTree]
 
 
 def intern_planar(children: tuple) -> PTree:
-    """The planar tree with these children, given as a tuple: the live
-    one if there is one, else a new one.  Every planar tree is built
+    """The planar tree with these children, given as a tuple: the one in
+    the table if there is one, else a new one.  Every planar tree is built
     here; `PTree` converts its argument to a tuple and calls it."""
-    ref = _PLANAR.get(children)
-    if ref is not None and (t := ref()) is not None:
+    t = _PLANAR.get(children)
+    if t is not None:
         return t
     return _intern(PTree, _PLANAR, children)
 

@@ -4,12 +4,11 @@ import gc
 import itertools
 import random
 import sys
-import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baxtertrees import baxter_core, dendriform
+from baxtertrees import baxter_core, dendriform, trees
 from baxtertrees.baxter_core import (
     LinComb,
     addmul,
@@ -550,18 +549,15 @@ def test_beta_returns_the_image_it_keeps():
 
 def test_a_kept_image_dies_with_its_base():
     # The kept image points from a tree to its raised copy and never
-    # back, so reference counting frees both, with no collector pass.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        base = Node(7, (LEAF, Node(9, (LEAF, LEAF), (13,))), (11,))  # held by no memo
-        image = weakref.ref(beta(FII, base).support()[0])
-        assert image() is base._raised and image().label == 8
-        del base
-        assert image() is None
-    finally:
-        if enabled:
-            gc.enable()
+    # back, so the sweep after one collection drops both.
+    base = Node(7, (LEAF, Node(9, (LEAF, LEAF), (13,))), (11,))  # held by no memo
+    image = beta(FII, base).support()[0]
+    assert image is base._raised and image.label == 8
+    key = (image.label, image.children, image.angles)
+    del base, image
+    gc.collect()
+    assert key not in trees._DECORATED
+    assert (7,) + key[1:] not in trees._DECORATED
 
 
 def test_the_quasi_idempotent_operator_on_each_root_label():

@@ -1,8 +1,8 @@
 """Diagonal and mountain paths, their classes, and the tree encodings."""
 
+import gc
 import itertools
 import re
-import weakref
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -209,11 +209,13 @@ def test_restore_angles_returns_the_image_its_tree_keeps():
                 assert restore_angles(pt) is restore_angles(pt)
     # Thirteen leaves: no memo of the test run holds this tree.
     pt = parse_planar("(. . . . . . (. . . . .) . .)")
-    image = weakref.ref(restore_angles(pt))
-    assert image() is restore_angles(pt)
-    assert str(image()) == "1(. 6 1(. 4 .) 2 .)"
-    del pt
-    assert image() is None
+    image = restore_angles(pt)
+    assert image is restore_angles(pt)
+    assert str(image) == "1(. 6 1(. 4 .) 2 .)"
+    key = (image.label, image.children, image.angles)
+    del pt, image
+    gc.collect()
+    assert key not in trees._DECORATED
 
 
 def test_worked_shape_reading():

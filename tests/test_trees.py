@@ -6,6 +6,7 @@ import importlib
 import itertools
 import pickle
 import pkgutil
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +42,7 @@ from baxtertrees.trees import (
     parse_planar,
     parse_tree,
     planar_trees,
+    raised,
     render_planar,
     render_tree,
     validate,
@@ -377,7 +379,7 @@ def test_a_rejected_planar_leaf_enters_neither_table():
         with pytest.raises(DomainError):
             build((LEAF,))
         assert (LEAF,) not in trees._PLANAR
-        assert not any(key[1] == (LEAF,) for key in trees._DECORATED)
+        assert not any(key[1] == (LEAF,) for key in list(trees._DECORATED))
     assert (len(trees._PLANAR), len(trees._DECORATED)) == sizes
 
 
@@ -419,6 +421,96 @@ def test_rejected_decorated_node_leaves_nothing_in_the_table():
     assert len(trees._DECORATED) == size
 
 
+# -- intern tables and their sweeps ------------------------------------------
+#
+# A table holds its trees; a sweep drops the trees only the table holds.
+# Each test builds trees with parts no memo of the test run holds, and
+# observes a dropped tree as its key, or its id, missing from its table.
+
+def test_a_held_tree_survives_sweeps_and_is_built_again_as_itself():
+    node = Node(5, (LEAF, Node(6, (LEAF, LEAF), (17,))), (19,))
+    planar = PTree((LEAF, PTree((LEAF,) * 11), LEAF))
+    for _ in range(2):
+        trees._sweep(trees._PLANAR)
+        trees._sweep(trees._DECORATED)
+        gc.collect()
+    assert Node(5, (LEAF, Node(6, (LEAF, LEAF), (17,))), (19,)) is node
+    assert parse_tree("5(. 19 6(. 17 .))") is node
+    assert PTree((LEAF, PTree((LEAF,) * 11), LEAF)) is planar
+    assert trees._DECORATED[5, node.children, (19,)] is node
+    assert trees._PLANAR[planar.children] is planar
+
+
+def test_one_collection_drops_a_whole_group_nothing_holds():
+    # The planar tree holds its decorated image; the base holds a raised
+    # image that holds one more, each newer than the tree that holds it.
+    # A key would hold the tree's children, so the group is known by the
+    # ids of its trees: no tree is made between their deletion and the
+    # check, so no other tree can take an id over.
+    planar = PTree((LEAF, PTree((LEAF,) * 12), LEAF, LEAF))
+    image = restore_angles(planar)
+    base = Node(3, (LEAF, Node(4, (LEAF, LEAF), (23,))), (29,))
+    top = raised(raised(base))
+    assert top.label == 5 and base._raised._raised is top
+    planar_ids = {id(planar), id(planar.children[1])}
+    decorated_ids = {id(t) for t in (image, image.children[1], base,
+                                     base._raised, top, base.children[1])}
+    assert len(decorated_ids) == 6
+    del planar, image, base, top
+    gc.collect()
+    assert planar_ids.isdisjoint(map(id, list(trees._PLANAR.values())))
+    assert decorated_ids.isdisjoint(map(id, list(trees._DECORATED.values())))
+
+
+def test_growth_past_the_limit_sweeps_with_the_collector_disabled(monkeypatch):
+    # The tree whose entry starts the sweep is held by its builder then.
+    table = trees._PLANAR
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        monkeypatch.setattr(table, "limit", len(table) + 10)
+        held = PTree((LEAF,) * 13)
+        unheld = [(LEAF,) * k for k in range(14, 24)]
+        for kids in unheld:
+            PTree(kids)
+        assert held.children in table
+        assert not any(kids in table for kids in unheld[:-1])
+        assert unheld[-1] in table
+        assert table.limit == max(trees._SWEEP_FLOOR, trees._SWEEP_GROWTH * len(table))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_collection_that_starts_inside_a_sweep_raises_nothing(monkeypatch):
+    # Dropping the sentinel tree starts a full collection, whose sweeps
+    # run inside this one.
+    class CollectsWhenDropped(PTree):
+        __slots__ = ()
+
+        def __del__(self):
+            collections.append(gc.collect())
+
+    collections, raised_inside = [], []
+    monkeypatch.setattr(sys, "unraisablehook", raised_inside.append)
+    table = trees._PLANAR
+    gc.collect()
+    unheld = [(LEAF,) * k for k in range(30, 36)]
+    for kids in unheld:
+        PTree(kids)
+    sentinel = (LEAF,) * 40
+    table[sentinel] = object.__new__(CollectsWhenDropped)
+    table[sentinel]._fill(sentinel)
+    try:
+        trees._sweep(table)
+    finally:
+        table.pop(sentinel, None)
+    assert len(collections) == 1
+    assert sentinel not in table
+    assert not any(kids in table for kids in unheld)
+    assert raised_inside == []
+
+
 def package_memos():
     for info in pkgutil.iter_modules(baxtertrees.__path__):
         module = importlib.import_module(f"baxtertrees.{info.name}")
@@ -435,15 +527,14 @@ def clear_memos():
 
 def assert_table_frees_the_trees_of(table: dict, suite: str) -> None:
     """Every tree ``suite`` adds to ``table`` is gone once the memo
-    tables are cleared; the trees alive before are held meanwhile."""
+    tables are cleared; the trees in it before are held meanwhile, and
+    stay."""
     clear_memos()
-    before = [ref() for ref in table.values()]
+    before = dict(table)
     assert verify.run_suite(suite, "quick").ok
     assert len(table) > len(before)
     clear_memos()
-    after = [ref() for ref in table.values()]
-    assert None not in after
-    assert {id(t) for t in after} <= {id(t) for t in before}
+    assert dict(table) == before
 
 
 def test_decorated_table_frees_the_trees_of_a_suite():
