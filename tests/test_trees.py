@@ -354,6 +354,8 @@ def test_planar_trees_compare_by_identity():
 
 
 def test_rejected_planar_node_leaves_nothing_in_the_table():
+    # Sweep first, so a collection inside the test drops nothing.
+    gc.collect()
     size = len(trees._PLANAR)
     for kids in ((), (LEAF,)):
         with pytest.raises(DomainError):
@@ -374,6 +376,8 @@ def test_the_planar_constructor_goes_through_intern_planar():
 
 
 def test_a_rejected_planar_leaf_enters_neither_table():
+    # Sweep first, so a collection inside the test drops nothing.
+    gc.collect()
     sizes = len(trees._PLANAR), len(trees._DECORATED)
     for build in (PTree, intern_planar):
         with pytest.raises(DomainError):
@@ -412,6 +416,8 @@ def test_equal_decorated_trees_are_one_object():
 
 
 def test_rejected_decorated_node_leaves_nothing_in_the_table():
+    # Sweep first, so a collection inside the test drops nothing.
+    gc.collect()
     size = len(trees._DECORATED)
     for label, kids, angles in ((1, (), ()), (1, (LEAF,), ()),
                                 (1, (LEAF, LEAF), ()), (0, (LEAF, LEAF), (1, 1))):
