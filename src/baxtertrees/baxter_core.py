@@ -181,7 +181,7 @@ def term_text(elem, coeff: LambdaPoly) -> str:
     """One term as written in a combination: a unit coefficient is left
     out, a single-term one joins with ``*`` and a longer or negative one
     is parenthesised."""
-    if coeff == ONE:
+    if coeff.is_one:
         return str(elem)
     if coeff.is_single_term and coeff.lead_coeff > 0:
         return f"{coeff}*{elem}"
@@ -204,6 +204,13 @@ def _wrap(terms: dict) -> LinComb:
     return out
 
 
+def _terms(v) -> Iterable:
+    """The ``(element, coefficient)`` pairs of an operand: a `LinComb`
+    reads as its own terms, and a bare basis element as one term with
+    coefficient one.  Every function that takes either reads it here."""
+    return v.terms.items() if isinstance(v, LinComb) else ((v, ONE),)
+
+
 def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
     """Add ``coeff`` times the ``(element, coefficient)`` pairs of
     ``terms`` into the coefficient dict ``acc`` in place.
@@ -220,20 +227,22 @@ def addmul(acc: dict, terms: Iterable, coeff: LambdaPoly) -> None:
     zero from the start.  Coefficients are integer polynomials, so a product
     of two nonzero ones is nonzero: zeros are looked for only on a merge
     and in a term that is new to ``acc``, which is zero only when its
-    coefficient or ``coeff`` is.  ``terms`` is only read, since it may
-    view a memoized result shared with other callers.
+    coefficient or ``coeff`` is.  Coefficients are tested through their
+    ``is_one`` and ``is_zero``, never through their coefficient tuples.
+    ``terms`` is only read, since it may view a memoized result shared
+    with other callers.
     """
-    unit = coeff.coeffs == (1,)
+    unit = coeff.is_one
     for elem, c in terms:
         if not unit:  # a product with one would only copy
-            c = coeff if c.coeffs == (1,) else c * coeff
+            c = coeff if c.is_one else c * coeff
         old = acc.get(elem)
         if old is not None:
             c = old + c
-            if not c.coeffs:
+            if c.is_zero:
                 del acc[elem]
                 continue
-        elif not c.coeffs:
+        elif c.is_zero:
             continue
         acc[elem] = c
 
@@ -243,13 +252,11 @@ def bilinear(op: Callable, u, v) -> LinComb:
     returns the ``(element, coefficient)`` pairs of its product, for
     every product of decorated-tree combinations (`dendriform.dend_op`
     writes the same loop out, with the merge of `_seam`).  Each factor
-    is a `LinComb` or a bare basis element, which is its one term with
-    coefficient one."""
+    is read by `_terms`."""
     out: dict = {}
-    u_terms = u.terms.items() if isinstance(u, LinComb) else ((u, ONE),)
-    v_terms = v.terms.items() if isinstance(v, LinComb) else ((v, ONE),)
-    for x, cx in u_terms:
-        unit = cx.coeffs == (1,)
+    v_terms = _terms(v)
+    for x, cx in _terms(u):
+        unit = cx.is_one
         for y, cy in v_terms:
             addmul(out, op(x, y), cy if unit else cx * cy)
     return _wrap(out)
@@ -404,8 +411,7 @@ def beta_lc(family: Family, u: LinComb | Tree) -> LinComb:
     """The operator, extended linearly; ``u`` may be a combination or a
     bare basis tree."""
     out: dict = {}
-    terms = u.terms.items() if isinstance(u, LinComb) else ((u, ONE),)
-    for t, c in terms:
+    for t, c in _terms(u):
         x, k = _beta_term(family, t)
         addmul(out, ((x, c),), k)
     return _wrap(out)

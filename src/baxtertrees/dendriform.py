@@ -20,8 +20,8 @@ same pass, with no list of terms or combination built in between.
 `_star` fills its memo value with its left, right and dot seams, whose
 supports are disjoint.  `dend_op` is the bilinear extension written out:
 for each pair of terms it hands the grafting operations to `_seam` and
-merges star's memoized terms through `addmul`, with a bare tree on
-either side taken as one term.
+merges star's memoized terms through `addmul`, reading each operand
+through `baxter_core._terms`, so a bare tree on either side is one term.
 
 Dropping the middle product at weight 0 gives a dendriform dialgebra;
 its free object lives on binary trees.  It is implemented as its own
@@ -32,9 +32,10 @@ Every Rota-Baxter algebra splits its product the same way
 (`rb_dendriform`): x > y = β(x)y, x < y = xβ(y), middle = the product
 itself.  The free trialgebra embeds into the free-angle forced-label
 tree algebra by reading angle labels out of interior-leaf runs and
-dropping the root label to 0; the free dialgebra embeds into the fully
-forced algebra by relabeling.  Both embeddings are injective and
-operation-preserving, and both are exercised exhaustively in tests.
+dropping the root label to 0 (`trees._restore` at root label 0); the
+free dialgebra embeds into the fully forced algebra by relabeling.
+Both embeddings are injective and operation-preserving, and both are
+exercised exhaustively in tests.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from math import comb
 from typing import Union
 
 from .baxter_core import (
-    LinComb, _wrap, addmul, beta_lc, circle_lc, star_lc,
+    LinComb, _terms, _wrap, addmul, beta_lc, circle_lc, star_lc,
 )
 from .errors import DomainError
-from .paths import _restore
 from .scalars import LAMBDA, ONE, LambdaPoly
-from .trees import Family, PTree, PlanarTree, Tree, intern_planar, is_binary
+from .trees import (
+    Family, PTree, PlanarTree, Tree, _restore, intern_planar, is_binary,
+)
 
 __all__ = [
     "dend_op", "rb_dendriform",
@@ -61,10 +63,6 @@ _VARIANTS = ("trialgebra", "dialgebra")
 _OPS = ("left", "right", "dot", "star")
 
 
-def _as_comb(v: Union[PlanarTree, LinComb]) -> LinComb:
-    return v if isinstance(v, LinComb) else _wrap({v: ONE})
-
-
 def _check_basis(variant: str, v: Union[PlanarTree, LinComb],
                  allow_leaf: bool) -> None:
     """Reject a bad bare element, or the first bad element of a
@@ -72,7 +70,7 @@ def _check_basis(variant: str, v: Union[PlanarTree, LinComb],
     sorted."""
     if variant == "trialgebra" and type(v) is PTree:  # no tuple, no map
         return
-    elems = v.terms if isinstance(v, LinComb) else (v,)
+    elems = [e for e, _ in _terms(v)]
     if variant == "trialgebra" and all(map(PTree.__instancecheck__, elems)):
         return
     bad = [e for e in elems if _basis_error(variant, e, allow_leaf)]
@@ -140,15 +138,15 @@ def _seam(acc: dict, variant: str, op: str, x: PlanarTree, y: PlanarTree,
         b, tail = y, ()
     else:
         b, tail = y.children[0], y.children[1:]
-    unit = coeff.coeffs == (1,)
+    unit = coeff.is_one
     for t, c in _star(variant, a, b).terms.items():
         t = intern_planar(head + (t,) + tail)
         if not unit:  # a product with one would only copy
-            c = coeff if c.coeffs == (1,) else c * coeff
+            c = coeff if c.is_one else c * coeff
         old = acc.get(t)
         if old is None:
             acc[t] = c
-        elif (c := old + c).coeffs:
+        elif not (c := old + c).is_zero:
             acc[t] = c
         else:
             del acc[t]
@@ -166,8 +164,8 @@ def dend_op(
     (binary trees, no middle product).  ``op`` is ``left`` (<),
     ``right`` (>), ``dot`` (middle), or ``star`` (their associative
     sum); only ``star`` admits the bare leaf, as its unit.  Each of
-    ``x`` and ``y`` is a combination or a bare tree, which is taken as
-    its one term with coefficient one.
+    ``x`` and ``y`` is a combination or a bare tree, read by
+    `baxter_core._terms`.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown dendriform variant {variant!r}")
@@ -178,10 +176,9 @@ def dend_op(
     _check_basis(variant, x, allow_leaf=op == "star")
     _check_basis(variant, y, allow_leaf=op == "star")
     out: dict = {}
-    x_terms = x.terms.items() if isinstance(x, LinComb) else ((x, ONE),)
-    y_terms = y.terms.items() if isinstance(y, LinComb) else ((y, ONE),)
-    for a, ca in x_terms:
-        unit = ca.coeffs == (1,)
+    y_terms = _terms(y)
+    for a, ca in _terms(x):
+        unit = ca.is_one
         for b, cb in y_terms:
             c = cb if unit else ca * cb
             if op == "star":
@@ -207,7 +204,7 @@ def rb_dendriform(
     if op not in _OPS:
         raise DomainError(f"unknown dendriform operation {op!r}")
     for v in (a, b):
-        if any(e.is_leaf for e in (v.terms if isinstance(v, LinComb) else (v,))):
+        if any(e.is_leaf for e, _ in _terms(v)):
             raise DomainError("the unit tree is not in the non-unital algebra")
     if op == "left":
         return circle_lc(family, a, beta_lc(family, b))
@@ -240,13 +237,13 @@ def _embed_binary_tree(pt: PlanarTree) -> Tree:
 def embed_trialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
     """Send a planar tree to its root-0 decorated counterpart: collapse
     interior-leaf runs into angle labels, then drop the root label."""
-    return _as_comb(x).map(_embed_tree)
+    return _wrap(dict(_terms(x))).map(_embed_tree)
 
 
 def embed_dialgebra(x: Union[PlanarTree, LinComb]) -> LinComb:
     """Send a binary tree to itself with root label 0, every other
     internal label 1, and all angle labels 1."""
-    return _as_comb(x).map(_embed_binary_tree)
+    return _wrap(dict(_terms(x))).map(_embed_binary_tree)
 
 
 def dt_dim(n: int, m: int) -> int:

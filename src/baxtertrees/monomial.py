@@ -36,7 +36,7 @@ from itertools import product as _iter_product, repeat
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .baxter_core import LinComb
+from .baxter_core import LinComb, _terms, _wrap
 from .errors import DomainError, ParseError
 from .scan import Cursor, int_text
 from .trees import F22, FI2, Family, Node, Tree, bidegree, require_valid
@@ -283,8 +283,6 @@ def pi_map(variant: str, v: Union[Tree, LinComb]) -> LinComb:
     trees.  The unit tree is rejected: its image is the empty word,
     which is not a basis element of the non-unital word algebra."""
     variant = word_variant(variant)
-    if not isinstance(v, LinComb):
-        v = LinComb(v)
 
     def word(t: Tree) -> Word:
         if t.is_leaf:
@@ -292,7 +290,7 @@ def pi_map(variant: str, v: Union[Tree, LinComb]) -> LinComb:
                               "(non-unital algebras)")
         return pi_word(variant, t)
 
-    return v.map(word)
+    return _wrap(dict(_terms(v))).map(word)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ The bijections implemented here:
   ``V`` of the next child; ``encode_zero`` / ``decode_zero`` add the
   class trade below for root label 0;
 * the planar API, the same maps as the paper composes them:
-  ``strip_angles`` / ``restore_angles`` trade angle labels for runs of
+  ``strip_angles`` / ``restore_angles`` (defined in `trees`, which owns
+  the conversion, and re-exported here) trade angle labels for runs of
   interior leaves (label j becomes j−1 leaves) between a decorated tree
   with positive root and its bare planar shape, and ``tree_to_path`` /
   ``path_to_tree`` read a planar tree depth first: ``H`` at the leftmost
@@ -56,7 +57,7 @@ from .errors import DomainError
 from .scan import Cursor
 from .trees import (
     F22, FI2, LEAF, Node, PTree, PlanarTree, Tree,
-    intern_node, raised, require_valid, with_root_label,
+    intern_node, raised, require_valid, restore_angles, strip_angles,
 )
 
 __all__ = [
@@ -367,69 +368,6 @@ def level_colored_motzkin_paths(length: int) -> tuple:
     out: list[tuple] = []
     _grow_mountain(out, [], 0, length, (("D", -1), ("Hb", 0), ("Hr", 0), ("U", 1)))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Angle labels <-> interior leaves
-# ---------------------------------------------------------------------------
-
-def strip_angles(t: Tree) -> PlanarTree:
-    """Forget decorations: each angle label j becomes j−1 interior
-    leaves.  Input must be valid with forced node labels and positive
-    root (raise the root of a root-0 tree first)."""
-    require_valid(FI2, t, "not a valid forced-label tree")
-    if t.label == 0:
-        raise DomainError("root label 0: raise the root before stripping")
-    return _strip(t)
-
-
-def _strip(t: Tree) -> PlanarTree:
-    if t.is_leaf:
-        return LEAF
-    children: list[PlanarTree] = [_strip(t.children[0])]
-    for angle, child in zip(t.angles, t.children[1:]):
-        children.extend([LEAF] * (angle - 1))
-        children.append(_strip(child))
-    return PTree(children)
-
-
-def restore_angles(pt: PlanarTree) -> Tree:
-    """Rebuild the decorated tree with all labels 1: runs of interior
-    leaves collapse into angle labels (j−1 leaves give label j)."""
-    if pt.is_leaf:
-        raise DomainError("the bare leaf has no decorated counterpart")
-    return _restore(pt, 1)
-
-
-def _restore(pt: PTree, label: int) -> Tree:
-    """`restore_angles` with root label ``label``, building only the top
-    node: each child's image is read from or kept in its
-    ``PTree._image``.  The first and last child always stay, and each
-    interior leaf widens the angle before the next child that stays.
-    Only a label-1 image is kept, so embedding a product at label 0
-    keeps nothing that its image does not hold."""
-    t = pt._image
-    if t is not None:
-        return with_root_label(t, label)
-    kids = pt.children
-    last = len(kids) - 1
-    children: list[Tree] = []
-    angles: list[int] = []
-    angle = 1
-    for k, c in enumerate(kids):
-        if not c.is_leaf:
-            c = _restore(c, 1)
-        elif 0 < k < last:
-            angle += 1
-            continue
-        if children:
-            angles.append(angle)
-            angle = 1
-        children.append(c)
-    t = Node(label, children, angles)
-    if label == 1:
-        pt._image = t
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ A polynomial is stored densely, one coefficient per power of ``l`` up
 to its degree, so the two ways input text names a power directly (a
 weight monomial from `LambdaPoly.weight`, an ``l^K`` in `read_poly`)
 stop at `MAX_DEGREE` with a `DomainError`, before anything is built.
+The dense tuple is private to this module: the rest of the package
+tests a coefficient through ``is_zero`` and ``is_one``, set once when
+the value is made, so another representation would change only this
+module.
 
 This module owns the coefficient syntax: `read_poly` reads a polynomial
 and `read_coefficient` a combination term's coefficient, each on the
@@ -47,19 +51,24 @@ class LambdaPoly:
 
     ``coeffs[k]`` holds the coefficient of ``l^k``.  Trailing zeros are
     never stored, so two equal polynomials have identical tuples; the
-    zero polynomial is the empty tuple.
+    zero polynomial is the empty tuple.  Only this module reads the
+    tuple; ``is_zero`` and ``is_one`` answer for it elsewhere.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "is_zero", "is_one")
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = tuple(coeffs)
+        top = len(cs)
+        while top and cs[top - 1] == 0:
+            top -= 1
+        cs = cs[:top]  # the tuple itself when nothing is cut
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
-        self.coeffs = tuple(cs)
+        self.coeffs = cs
+        self.is_zero = not cs
+        self.is_one = cs == (1,)
 
     # -- constructors ------------------------------------------------------
 
@@ -84,10 +93,6 @@ class LambdaPoly:
         return NotImplemented
 
     # -- ring structure ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def degree(self) -> int:
@@ -290,8 +295,10 @@ def read_poly(cur: Cursor) -> LambdaPoly:
         ch = cur.ws()
         if ch not in ("+", "-"):
             break
-    top = max(coeffs)
-    return LambdaPoly(tuple(coeffs.get(k, 0) for k in range(top + 1)))
+    dense = [0] * (max(coeffs) + 1)
+    for power, c in coeffs.items():
+        dense[power] = c
+    return LambdaPoly(dense)
 
 
 def read_coefficient(cur: Cursor) -> LambdaPoly:

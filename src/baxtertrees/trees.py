@@ -31,6 +31,13 @@ walk, and `require_valid` is the one place a rule violation becomes a
 `DomainError`.  A decorated tree also keeps its image with the root
 label one higher (`raised`), and each family is one object
 (`FAMILIES`), so memo tables key on both by identity.
+
+It also owns the map between the two kinds of tree: `strip_angles`
+turns each angle label j into j - 1 interior leaves, and
+`restore_angles` reads the runs back as angle labels.  A planar tree
+keeps its decorated image (``_image``) once built, and only this module
+reads or writes it; `paths` re-exports the two functions and the
+dendriform embeddings call `_restore`.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ __all__ = [
     "PTree", "PlanarTree", "intern_planar", "parse_planar", "read_planar",
     "render_planar",
     "planar_trees", "binary_trees", "is_binary",
+    "strip_angles", "restore_angles",
 ]
 
 INF = float("inf")
@@ -624,7 +632,7 @@ class PTree:
     trees are hash-consed like decorated ones (see `_intern`).
 
     ``_image`` holds the tree's decorated image with root label 1 once
-    `paths.restore_angles` has built it, so the image stays in its table
+    `restore_angles` has built it, so the image stays in its table
     at least as long as the planar tree does, and a sweep drops it with
     the planar tree unless something else holds it.
     """
@@ -780,3 +788,66 @@ def is_binary(t: PlanarTree) -> bool:
         return True
     total, nodes = t.sort_key()[:2]  # negated (leaves - 1 + nodes), nodes
     return total == 2 * nodes
+
+
+# ---------------------------------------------------------------------------
+# Angle labels <-> interior leaves
+# ---------------------------------------------------------------------------
+
+def strip_angles(t: Tree) -> PlanarTree:
+    """Forget decorations: each angle label j becomes j−1 interior
+    leaves.  Input must be valid with forced node labels and positive
+    root (raise the root of a root-0 tree first)."""
+    require_valid(FI2, t, "not a valid forced-label tree")
+    if t.label == 0:
+        raise DomainError("root label 0: raise the root before stripping")
+    return _strip(t)
+
+
+def _strip(t: Tree) -> PlanarTree:
+    if t.is_leaf:
+        return LEAF
+    children: list[PlanarTree] = [_strip(t.children[0])]
+    for angle, child in zip(t.angles, t.children[1:]):
+        children.extend([LEAF] * (angle - 1))
+        children.append(_strip(child))
+    return PTree(children)
+
+
+def restore_angles(pt: PlanarTree) -> Tree:
+    """Rebuild the decorated tree with all labels 1: runs of interior
+    leaves collapse into angle labels (j−1 leaves give label j)."""
+    if pt.is_leaf:
+        raise DomainError("the bare leaf has no decorated counterpart")
+    return _restore(pt, 1)
+
+
+def _restore(pt: PTree, label: int) -> Tree:
+    """`restore_angles` with root label ``label``, building only the top
+    node: each child's image is read from or kept in its
+    ``PTree._image``.  The first and last child always stay, and each
+    interior leaf widens the angle before the next child that stays.
+    Only a label-1 image is kept, so embedding a product at label 0
+    keeps nothing that its image does not hold."""
+    t = pt._image
+    if t is not None:
+        return with_root_label(t, label)
+    kids = pt.children
+    last = len(kids) - 1
+    children: list[Tree] = []
+    angles: list[int] = []
+    angle = 1
+    for k, c in enumerate(kids):
+        if not c.is_leaf:
+            c = _restore(c, 1)
+        elif 0 < k < last:
+            angle += 1
+            continue
+        if children:
+            angles.append(angle)
+            angle = 1
+        children.append(c)
+    t = Node(label, children, angles)
+    if label == 1:
+        pt._image = t
+    return t

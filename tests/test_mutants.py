@@ -25,6 +25,7 @@ _PLANAR_EMBEDDING = "planar embedding intertwines all three operations, <= 4 lea
 _OPERATOR_LAW = "operator law beta(a)beta(b) = beta(a*b) on pairs of total degree <= 2"
 _SCHRODER = ("counting.py", "return schroder_large(n - 1) + sum(",
              "return schroder_large(n - 2) + sum(")
+_RESTORE = ("trees.py", "angle += 1", "angle += 0")  # an interior leaf widens no angle
 _MOTZKIN = (
     "counting.py",
     "return motzkin(n - 1) + sum(motzkin(k) * motzkin(n - 2 - k) for k in range(n - 1))",
@@ -65,6 +66,15 @@ MUTANTS = {
         '_ROTATE = {"H": "U", "V": "D", "D": "H", "X": "H"}',
         "bijections",
         ("rotation carries paths of total degree k onto Motzkin paths, k <= 5",),
+    ),
+    "restore_angle_embedding": _RESTORE + (
+        "dendriform",
+        ("planar embedding is injective on trees with <= 4 leaves",
+         _PLANAR_EMBEDDING),
+    ),
+    "restore_angle_round_trip": _RESTORE + (
+        "bijections",
+        ("strip/restore is the identity on raised trees up to n=5",),
     ),
     "star_weight_negated": (
         "baxter_core.py",

@@ -19,10 +19,11 @@ from baxtertrees.dendriform import dend_op, embed_dialgebra, embed_trialgebra
 from baxtertrees.errors import DomainError, ParseError
 from baxtertrees.monomial import pi_word, tilde_equiv
 from baxtertrees.paths import (
-    _strip, path_to_tree, restore_angles, strip_angles, to_colored_motzkin,
+    path_to_tree, restore_angles, strip_angles, to_colored_motzkin,
     tree_to_path,
 )
 from baxtertrees.trees import (
+    _strip,
     FAMILIES,
     LEAF,
     Family,
