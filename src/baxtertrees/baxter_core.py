@@ -20,9 +20,11 @@ Inside ``circle`` and ``star`` the operator is applied term by term, as
 one tree and one coefficient (``_beta_term``); no intermediate
 combination is built.  ``star`` merges its three products through
 ``addmul``, and ``circle`` stores each term, since no two collide.
-Each call of either runs with Python's cyclic collector paused
+A product runs with Python's cyclic collector paused
 (`_collector_paused`), its memo lookup included: the memo tables hold
-no reference cycles, so a collector pass would only walk them.
+no reference cycles, so a collector pass would only walk them.  The
+two recursions call each other's memo directly, so only the outermost
+call pauses.
 
 The two recursions terminate together: each pass through the seam
 strictly shrinks the total of node and angle degrees, because taking an
@@ -38,8 +40,9 @@ into corner trees and root-raised pieces.
 from __future__ import annotations
 
 import gc
+from collections.abc import Mapping
 from functools import lru_cache, wraps
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
 from .scalars import LAMBDA, ONE, ZERO, LambdaPoly, read_coefficient
@@ -75,7 +78,8 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        if isinstance(terms, Mapping):
+        # A dict is the usual mapping, and the cheapest to recognize.
+        if type(terms) is dict or isinstance(terms, Mapping):
             pairs = terms.items()
         elif hasattr(terms, "sort_key"):
             pairs = [(terms, ONE)]
@@ -437,7 +441,14 @@ def _collector_paused(f: Callable) -> Callable:
     wrapper stands in for the memo table by passing on its
     ``cache_info`` and ``cache_clear``.  The arguments are named rather
     than packed, so that the call into ``f`` builds no tuple and runs
-    inline: it is on the path of every product."""
+    inline: it is on the path of every product.
+
+    Inside a product, `circle` and `star` call each other's memo, the
+    wrapper's ``__wrapped__``: the collector is already paused there,
+    and the wrapper's frame would only bring the interpreter's recursion
+    limit nearer on a deep tree.  A name rebound to a wrapper that has
+    no ``__wrapped__`` (the benchmark's tracer does that) is called as
+    it is."""
     @wraps(f)
     def paused(a, b, c):
         if not gc.isenabled():
@@ -483,7 +494,7 @@ def circle(family: Family, t: Tree, s: Tree) -> LinComb:
     s_pieces, s_angles = degraft(s)
     left = lower_root(t_pieces[-1])
     right = lower_root(s_pieces[0])
-    middle = star(family, left, right).terms
+    middle = getattr(star, "__wrapped__", star)(family, left, right).terms
     prefix = t_pieces[:-1]
     suffix = s_pieces[1:]
     angles = t_angles + s_angles
@@ -513,12 +524,13 @@ def star(family: Family, u: Tree, v: Tree) -> LinComb:
         return LinComb.of(v)
     if v.is_leaf:
         return LinComb.of(u)
+    product = getattr(circle, "__wrapped__", circle)
     out: dict = {}
     x, c = _beta_term(family, u)
-    addmul(out, circle(family, x, v).terms.items(), c)
+    addmul(out, product(family, x, v).terms.items(), c)
     y, c = _beta_term(family, v)
-    addmul(out, circle(family, u, y).terms.items(), c)
-    addmul(out, circle(family, u, v).terms.items(), LAMBDA)
+    addmul(out, product(family, u, y).terms.items(), c)
+    addmul(out, product(family, u, v).terms.items(), LAMBDA)
     return _wrap(out)
 
 

@@ -14,14 +14,18 @@ graft.
 The three recursions differ only in which children meet and which
 stay, so one seam helper (`_seam`) computes all three: it reads the
 meeting factors' star product from the memoized `_star` once, grafts
-each of its trees back between the kept children through
-`intern_planar`, and merges the result into a coefficient dict in the
-same pass, with no list of terms or combination built in between.
-`_star` fills its memo value with its left, right and dot seams, whose
-supports are disjoint.  `dend_op` is the bilinear extension written out:
-for each pair of terms it hands the grafting operations to `_seam` and
-merges star's memoized terms through `addmul`, reading each operand
-through `baxter_core._terms`, so a bare tree on either side is one term.
+each of its trees back between the kept children (a lookup in the
+planar table, then `intern_planar` for a tree the table does not hold),
+and merges the result into a coefficient dict in the same pass, with no
+list of terms or combination built in between.  `_star` fills its memo
+value with its left, right and dot seams, whose supports are disjoint.
+`dend_op` is the bilinear extension written out: for each pair of terms
+it hands the grafting operations to `_seam` and merges star's memoized
+terms through `addmul`, reading each operand through
+`baxter_core._terms`, so a bare tree on either side is one term.  In
+the trialgebra it tests each element where its loop reads it, and
+checks both operands in full (`_check_basis`) only when one is not a
+planar node; the dialgebra checks both operands before the loop.
 
 Dropping the middle product at weight 0 gives a dendriform dialgebra;
 its free object lives on binary trees.  It is implemented as its own
@@ -50,7 +54,8 @@ from .baxter_core import (
 from .errors import DomainError
 from .scalars import LAMBDA, ONE, LambdaPoly
 from .trees import (
-    Family, PTree, PlanarTree, Tree, _restore, intern_planar, is_binary,
+    Family, PTree, PlanarTree, Tree, _held_planar, _restore, intern_planar,
+    is_binary,
 )
 
 __all__ = [
@@ -68,15 +73,16 @@ def _check_basis(variant: str, v: Union[PlanarTree, LinComb],
     """Reject a bad bare element, or the first bad element of a
     combination in display order; only a combination that has one is
     sorted."""
-    if variant == "trialgebra" and type(v) is PTree:  # no tuple, no map
-        return
-    elems = [e for e, _ in _terms(v)]
-    if variant == "trialgebra" and all(map(PTree.__instancecheck__, elems)):
-        return
-    bad = [e for e in elems if _basis_error(variant, e, allow_leaf)]
+    bad = [e for e, _ in _terms(v) if _basis_error(variant, e, allow_leaf)]
     if bad:
         first = min(bad, key=lambda e: e.sort_key())
         raise DomainError(_basis_error(variant, first, allow_leaf))
+
+
+def _check_operands(variant: str, x, y, allow_leaf: bool) -> None:
+    """Check both operands of `dend_op`, x first."""
+    _check_basis(variant, x, allow_leaf)
+    _check_basis(variant, y, allow_leaf)
 
 
 def _basis_error(variant: str, elem, allow_leaf: bool) -> str:
@@ -123,12 +129,12 @@ def _seam(acc: dict, variant: str, op: str, x: PlanarTree, y: PlanarTree,
     dot splits both; the split-off children (or the whole unsplit
     factor) meet through the memoized `_star`, read once, and each tree
     of that product is grafted back between the children the split kept,
-    interned and merged into ``acc`` in the same pass.  The merge is
-    that of `addmul`, written out so that no list of pairs is built per
-    call (`addmul` says why): a zero sum is dropped, and a product with
-    one is not taken.  ``coeff`` is never zero and the grafting is
-    injective, so only a merge with a term already in ``acc`` can give a
-    zero.
+    found in the planar table or interned, and merged into ``acc`` in the
+    same pass.  The merge is that of `addmul`, written out so that no
+    list of pairs is built per call (`addmul` says why): a zero sum is
+    dropped, and a product with one is not taken.  ``coeff`` is never
+    zero and the grafting is injective, so only a merge with a term
+    already in ``acc`` can give a zero.
     """
     if op == "right":
         a, head = x, ()
@@ -140,7 +146,8 @@ def _seam(acc: dict, variant: str, op: str, x: PlanarTree, y: PlanarTree,
         b, tail = y.children[0], y.children[1:]
     unit = coeff.is_one
     for t, c in _star(variant, a, b).terms.items():
-        t = intern_planar(head + (t,) + tail)
+        t = head + (t,) + tail
+        t = _held_planar(t) or intern_planar(t)
         if not unit:  # a product with one would only copy
             c = coeff if c.is_one else c * coeff
         old = acc.get(t)
@@ -173,11 +180,29 @@ def dend_op(
         raise DomainError(f"unknown dendriform operation {op!r}")
     if variant == "dialgebra" and op == "dot":
         raise DomainError("the dialgebra has no middle product")
-    _check_basis(variant, x, allow_leaf=op == "star")
-    _check_basis(variant, y, allow_leaf=op == "star")
-    out: dict = {}
+    allow_leaf = op == "star"
+    # The trialgebra takes every planar node, so each element is tested
+    # where the loop reads it, y's before the loop and x's in it, with no
+    # pass of their own.  The first that is no planar node (a bad element,
+    # or the leaf that star admits) has both operands checked in full,
+    # which reports the first bad element in display order, x's before
+    # y's, before any bad element reaches `_seam` or `_star`.  The axiom
+    # checks of `verify` feed back about 47 000 combinations a desk run,
+    # which a pass would read twice.
     y_terms = _terms(y)
+    checked = variant == "dialgebra"
+    if not checked:
+        for b, _ in y_terms:
+            if type(b) is not PTree:
+                checked = True
+                break
+    if checked:
+        _check_operands(variant, x, y, allow_leaf)
+    out: dict = {}
     for a, ca in _terms(x):
+        if not checked and type(a) is not PTree:
+            _check_operands(variant, x, y, allow_leaf)
+            checked = True
         unit = ca.is_one
         for b, cb in y_terms:
             c = cb if unit else ca * cb

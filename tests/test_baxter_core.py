@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import sys
+from types import MappingProxyType
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,8 @@ def test_lincomb_built_from_a_mapping_an_element_or_pairs():
     assert LinComb([(a, 3), (b, two_l)]) == LinComb({a: 3, b: two_l})
     assert LinComb(iter([(b, LAMBDA)])).terms == {b: LAMBDA}
     assert LinComb().terms == {}
+    # Any mapping, not only a dict.
+    assert LinComb(MappingProxyType({a: 3})).terms == {a: LambdaPoly.const(3)}
 
 
 def test_lincomb_construction_drops_zeros_and_merges_repeats():
@@ -692,6 +695,25 @@ def test_a_hit_enters_the_pause_but_not_the_body(cold_products, product):
     x = t("0(1(. 1 .) 2 .)")
     assert entered() == {paused, body}
     assert entered() == {paused}
+
+
+@pytest.mark.parametrize("product", [circle, star], ids=["circle", "star"])
+def test_a_cold_product_pauses_once_and_recurses_through_the_memos(cold_products,
+                                                                   product):
+    # circle and star call each other's memo, not each other's pausing
+    # wrapper (both wrappers run the same code), so only the outermost
+    # call pauses, however deep the recursion goes.
+    bodies = {f.__wrapped__.__wrapped__.__code__ for f in (circle, star)}
+    x = t("1(. 1 1(. 1 .))")
+    codes = []
+    sys.setprofile(lambda frame, event, arg:
+                   event == "call" and codes.append(frame.f_code))
+    try:
+        product(FII, x, x)
+    finally:
+        sys.setprofile(None)
+    assert codes.count(product.__code__) == 1
+    assert sum(code in bodies for code in codes) > 10
 
 
 def sweep(product, pairs):

@@ -48,6 +48,18 @@ def test_star_includes_weighted_term(capsys):
     assert "l" in out
 
 
+def test_a_200_level_chain_first_product_answers(capsys):
+    # Only the outermost product call pauses the collector, and circle and
+    # star recurse through each other's memo: with a pausing wrapper at
+    # every level the interpreter's recursion limit ended this near 160.
+    chain = "."
+    for _ in range(200):
+        chain = f"1(. 1 {chain})"
+    code, out, err = run(capsys, "product", "--family", "inf,inf", chain, "1(. 1 .)")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count(" + ") == 400  # 2k + 1 terms at k levels
+
+
 def test_product_records_format(capsys):
     code, out, _ = run(
         capsys, "product", "--family", "inf,2", "--format", "records",

@@ -118,6 +118,46 @@ def bad_argument_pairs():
     yield "dialgebra", "star", a, wide
     yield "dialgebra", "right", LEAF, wide
     yield "dialgebra", "star", d, wide
+    yield from bad_combination_pairs()
+
+
+def combination(*elems):
+    """The elements, each with coefficient one, in this insertion order."""
+    return LinComb([(e, 1) for e in elems])
+
+
+def bad_combination_pairs():
+    """Combinations whose bad elements come after good ones in insertion
+    order, with a bad x only, a bad y only, or both (x's error wins).
+    Where an operand has two bad elements, the one inserted first comes
+    last in display order; under star that one, the leaf, is no fault.
+    An empty operand reads no term, so only the other one can be at
+    fault."""
+    good = {"trialgebra": (p("((. .) .)"), p("(. . .)")),
+            "dialgebra": (p("((. .) .)"), p("(. (. .))"))}
+    bad = {"trialgebra": (LEAF, t("1(. 1 .)")),
+           "dialgebra": (LEAF, t("1(. 1 .)"), p("((. .) . .)"))}
+    ops = {"trialgebra": ("left", "right", "dot", "star"),
+           "dialgebra": ("left", "right", "star")}
+    for variant, (g, h) in good.items():
+        fine = combination(g, h)
+        for op in ops[variant]:
+            for e in bad[variant]:
+                if not element_error(variant, op, e):
+                    continue  # the leaf, under star
+                faulty = combination(g, e, h)
+                yield variant, op, faulty, fine
+                yield variant, op, fine, faulty
+                yield variant, op, faulty, LinComb()
+                yield variant, op, LinComb(), faulty
+                yield variant, op, g, faulty
+            first, *rest = bad[variant]
+            for e in rest:
+                # first is inserted first and sorts last.
+                yield variant, op, combination(g, first, e), fine
+                yield variant, op, fine, combination(first, h, e)
+                yield variant, op, combination(h, first), combination(e, g)
+                yield variant, op, combination(g, e), combination(h, first)
 
 
 def error_text(f, *args):
@@ -126,7 +166,7 @@ def error_text(f, *args):
     return str(info.value)
 
 
-def expected_error(variant, op, e):
+def element_error(variant, op, e):
     """The error dend_op reports for the element e, or None."""
     if e.is_leaf:
         return None if op == "star" else "the bare leaf is only a unit for star"
@@ -135,6 +175,19 @@ def expected_error(variant, op, e):
     if variant == "dialgebra" and len(e.children) != 2:
         return "dialgebra basis elements must be binary trees"
     return None
+
+
+def expected_error(variant, op, v):
+    """The error dend_op reports for the operand v, a bare element or a
+    combination: that of its first bad element in display order, or None."""
+    elems = v.support() if isinstance(v, LinComb) else [v]
+    return next(filter(None, (element_error(variant, op, e) for e in elems)), None)
+
+
+def operand_forms(v):
+    """A bare element as itself and as its one-term combination; a
+    combination as itself."""
+    return (v,) if isinstance(v, LinComb) else (v, LinComb.of(v))
 
 
 def test_bare_trees_act_as_one_term_combinations():
@@ -151,11 +204,14 @@ def test_bare_trees_act_as_one_term_combinations():
 
 
 def test_bad_bare_trees_give_the_errors_of_their_one_term_combinations():
+    # In display order, and x's before y's, however the elements were
+    # inserted and wherever the loop over the terms meets the first one.
     for variant, op, x, y in bad_argument_pairs():
         texts = {error_text(dend_op, variant, op, u, v)
-                 for u in (x, LinComb.of(x)) for v in (y, LinComb.of(y))}
+                 for u in operand_forms(x) for v in operand_forms(y)}
         expected = expected_error(variant, op, x) or expected_error(variant, op, y)
-        assert texts == {expected}, (variant, op, x, y)
+        assert expected is not None
+        assert texts == {expected}, (variant, op, str(x), str(y))
 
 
 # -- the stored seams of star ------------------------------------------------

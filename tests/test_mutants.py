@@ -78,8 +78,8 @@ MUTANTS = {
     ),
     "star_weight_negated": (
         "baxter_core.py",
-        "addmul(out, circle(family, u, v).terms.items(), LAMBDA)",
-        "addmul(out, circle(family, u, v).terms.items(), -LAMBDA)",
+        "addmul(out, product(family, u, v).terms.items(), LAMBDA)",
+        "addmul(out, product(family, u, v).terms.items(), -LAMBDA)",
         "identities",
         (_OPERATOR_LAW,),
     ),
