@@ -463,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in arguments:
             sp.add_argument(flag, **kwargs)
         sp.set_defaults(func=func)
+    parser._commands = subs.choices  # name -> subparser, for `main`
     return parser
 
 
@@ -470,12 +471,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser `main` uses, built once per process.  Reuse is safe:
     no argument action keeps state between parses, and usage and error
-    text is formatted when printed, for the streams of that moment."""
+    text is formatted when printed, for the streams of that moment.
+    `main` also reaches its subparsers through it, by command name."""
     return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line; return its exit status.
+
+    A line that starts with a command name goes straight to that
+    command's parser: all the top-level parser would do with it is pick
+    that parser and pass it the rest of the line.  Any other line, and
+    one that the command's parser leaves words of unread, goes through
+    the top-level parser, which reports the usage error.  So a line
+    gets the same answer and the same error text by either route.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    sub = parser._commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if sub is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -1,5 +1,7 @@
 """Command-line interface: output text, record format, and exit codes."""
 
+import contextlib
+import io
 import os
 import re
 import resource
@@ -7,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from baxtertrees.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main
+from baxtertrees.cli import (
+    _COMMANDS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, build_parser, main,
+)
+from baxtertrees.errors import DomainError, ParseError
 from baxtertrees.scalars import MAX_DEGREE
 
 import pytest
@@ -521,3 +526,76 @@ def test_verify_quick_suite_records(capsys):
     assert code == EXIT_OK
     assert re.sub(r"time=\d+\.\d\ds", "time=…s", out) == (
         "examples\tpass=14 fail=0 time=…s\ntotal\tpass=14 fail=0\n")
+
+
+# -- dispatch ---------------------------------------------------------------
+
+def reference_main(argv):
+    """`main` with the top-level parser reading every line."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+
+
+def outcome(entry, *args):
+    """Exit code, stdout and stderr of one call, verify's timings masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(*args)
+        except SystemExit as exc:
+            code = exc.code
+    return (code, re.sub(r"\(\d+\.\d\ds\)", "(…s)", out.getvalue()),
+            err.getvalue())
+
+
+A, B = "1(. 2 .)", "1(. 3 .)"
+DISPATCH_LINES = [[name, "-h"] for name, *_ in _COMMANDS] + [
+    ["product", A, B, "--fam", "inf,2"],
+    ["product", A, B, "--family=inf,2", "--lam", "2"],
+    ["dims", "--family", "2,2", "--max", "2"],  # ambiguous abbreviation
+    ["beta", A, "--family", "2,2", "--family", "inf,2"],
+    ["beta", A, "--family", "inf,2", "--lambda", "1", "--lambda=-1"],
+    ["product", "--family", "inf,2", "--", A, B],
+    ["product", "--family", "inf,2", A, "--", B],
+    ["product", "--family", "inf,2", A, B, "--"],
+    ["product", "--", A, B, "--family", "inf,2"],
+    ["product", "--family", "inf,2", "-1*1(. 2 .)", B],
+    ["product", "--family", "inf,2", "--", "-1*1(. 2 .)", B],
+    ["enumerate", "--family", "2,2", "-1", "1"],
+    ["product", A, B, "1(. 4 .)", "--family", "inf,2"],
+    ["product", A, B, "--family", "inf,2", "--bogus"],
+    ["tree-to-path", "1(. 1", "--format", "records"],
+    ["morphism", A, "--family", "2,2", "--target", "inf,2"],
+    ["prod", A, B, "--family", "inf,2"],
+    ["enum", "1", "1", "--family", "2,2"],
+    ["-h", "product"],
+    ["--", "product", A, B, "--family", "inf,2"],
+    [],
+    ["verify", "--suite", "examples", "--budget", "quick"],
+    ["verify", "--suite", "examples", "--budget", "quick", "junk"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_LINES,
+                         ids=lambda a: " ".join(a) or "(none)")
+def test_main_answers_as_the_top_level_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(main, argv) == outcome(reference_main, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", A, B, "--family", "inf,2"],
+    ["product", A, B, "--family", "inf,2", "--bogus"],
+    [],
+])
+def test_main_reads_sys_argv_when_given_none(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["baxtertrees", *argv])
+    assert outcome(main) == outcome(reference_main, argv)

@@ -3,7 +3,9 @@
 ``help_text.txt`` holds, for the top-level parser and each subcommand,
 what ``--help``, no arguments and an unknown flag after valid arguments
 print and the exit code they end with, all at ``COLUMNS=80``, the width
-argparse reads from the environment.  Each case starts with a
+argparse reads from the environment.  A few more usage errors follow:
+an abbreviated or ``=``-joined option, a ``--``, an unknown command and
+an extra operand.  Each case starts with a
 ``$ baxtertrees …`` line, then ``exit N``, then the ``stdout:`` and
 ``stderr:`` lines, each output line prefixed by ``|``.
 
@@ -60,6 +62,13 @@ def cases() -> list[list[str]]:
         # shows its usage instead.
         out.append([name] if valid else [name, "--format", "bogus"])
         out.append([name, *valid, "--bogus"])
+    out += [
+        ["product", "x", "y", "--family=2,2", "--bogus"],
+        ["product", "x", "y", "--fam", "2,2", "--bogus"],
+        ["product", "--", "x", "y", "--family", "2,2"],
+        ["prod", "x", "y", "--family", "2,2"],
+        ["product", "x", "y", "z", "--family", "2,2"],
+    ]
     return out
 
 

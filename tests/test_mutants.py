@@ -32,6 +32,11 @@ _MOTZKIN = (
     "return motzkin(n - 1) + sum(motzkin(k) * motzkin(n - 2 - k) for k in range(n - 2))",
 )
 
+_STAR_SECOND = ("baxter_core.py",  # beta(v)'s coefficient dropped in star
+                "addmul(out, product(family, u, y).terms.items(), c)",
+                "addmul(out, product(family, u, y).terms.items(), ONE)")
+_RUNS_TO_THE_END = "bijections suite runs to the end"
+
 # name -> (module, original text, mutated text, suite, checks that fail)
 MUTANTS = {
     "seam_swapped": (
@@ -118,6 +123,36 @@ MUTANTS = {
     "motzkin_short_series": _MOTZKIN + (
         "series",
         ("free-angle series sums to the Motzkin numbers along total degree",),
+    ),
+    "binomial_shifted": (
+        "counting.py", "comb(k - 1, j - 1)", "comb(k, j - 1)",
+        "series",
+        ("transform of random sequences matches its series form",),
+    ),
+    "star_second_coefficient_laws": _STAR_SECOND + (
+        "identities", (_OPERATOR_LAW,),
+    ),
+    "star_second_coefficient_projections": _STAR_SECOND + (
+        "morphisms",
+        ("projections are algebra maps on pairs of total degree <= 2",),
+    ),
+    "star_second_coefficient_splittings": _STAR_SECOND + (
+        "dendriform",
+        ("induced splittings satisfy the axioms up to total degree 2",),
+    ),
+    "decoder_angle_from_two": (  # every decoded angle starts at 2, not 1
+        "paths.py", "angles.append(angle)", "angles.append(angle + 1)",
+        "bijections",
+        ("raised trees biject with plus-class paths up to n=5",
+         "root-0 trees biject with zero-class paths up to n=4",
+         _RUNS_TO_THE_END),
+    ),
+    "encoder_last_child_after_d": (  # the path never reaches its V
+        "paths.py",
+        'steps.append("V" if k == last else "D")',
+        'steps.append("D")',
+        "bijections",
+        (_RUNS_TO_THE_END,),
     ),
 }
 

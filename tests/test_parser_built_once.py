@@ -3,9 +3,13 @@
 Building the parser (one parser, a subparser per command and every
 argument) costs far more than a short command itself, so a `main` that
 rebuilt it on each call would spend most of a scripted session there.
+Each line is parsed once, too: a line that starts with a command name
+goes straight to that command's parser.
 """
 
 import argparse
+
+import pytest
 
 from baxtertrees import cli
 
@@ -33,3 +37,27 @@ def test_main_builds_one_parser_for_many_calls(monkeypatch, capsys):
             assert exc.code == 2
     capsys.readouterr()
     assert len(made) == per_build
+
+
+def test_a_valid_line_is_parsed_once(monkeypatch, capsys):
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert cli.main(["enumerate", "--family", "2,2", "1", "1"]) == 0
+    assert parses == ["baxtertrees enumerate"]
+    assert capsys.readouterr().out == "1(. 1 .)\n"
+
+
+def test_unrecognized_arguments_are_reported_by_the_top_level(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", "--family", "2,2", "1", "1", "--bogus", "x"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: baxtertrees [-h]\n")
+    assert err.endswith(
+        "baxtertrees: error: unrecognized arguments: --bogus x\n")
